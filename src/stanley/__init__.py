@@ -13,10 +13,9 @@ from .bound import (BoundReport, BoundTerm, CheckReport, DirectSumReport,
                     enumerate_families, hypothesis_check, sdepth_lower_bound,
                     verify_direct_sum)
 from .core import (EXPONENT_CAP, MonomialIdeal, RingCtx, divides,
-                   extend_ideal, gcd, is_squarefree, lcm, map_variables,
-                   monomials_up_to_degree, mul, polarization_parents,
-                   quotient, render_monomial, restrict_exponents,
-                   squarefree_part, subring_ideal, support, total_degree)
+                   is_squarefree, lcm, monomials_up_to_degree, mul,
+                   polarization_parents, quotient, render_monomial,
+                   restrict_exponents, squarefree_part, support, total_degree)
 from .corpus import (FAMILIES, CorpusSpec, SplitMix64, generate_corpus,
                      random_ideal, random_monomial)
 from .decomposition import (Decomposition, IrreducibleComponent, decompose,
@@ -41,12 +40,11 @@ __all__ = [
     "StanleyError", "SUBSET_CAP", "SummandFamily", "build_split", "cap_vector",
     "characteristic_points", "check_size_inequality", "classify_monomial",
     "clear_cache", "decompose", "divides", "enumerate_families",
-    "extend_ideal", "gcd", "generate_corpus", "hypothesis_check",
-    "is_irreducible", "is_squarefree", "lcm", "map_variables", "min_cover",
-    "monomials_up_to_degree", "mul", "parse_ideal", "parse_monomial",
-    "polarization_parents", "prune_irredundant", "quotient", "random_ideal",
-    "random_monomial", "render_monomial", "restrict_exponents", "sdepth_ideal",
-    "sdepth_lower_bound", "sdepth_module", "sdepth_quotient", "size",
-    "squarefree_part", "subring_ideal", "support", "support_union",
-    "total_degree", "verify_direct_sum",
+    "generate_corpus", "hypothesis_check", "is_irreducible", "is_squarefree",
+    "lcm", "min_cover", "monomials_up_to_degree", "mul", "parse_ideal",
+    "parse_monomial", "polarization_parents", "prune_irredundant", "quotient",
+    "random_ideal", "random_monomial", "render_monomial", "restrict_exponents",
+    "sdepth_ideal", "sdepth_lower_bound", "sdepth_module", "sdepth_quotient",
+    "size", "squarefree_part", "support", "support_union", "total_degree",
+    "verify_direct_sum",
 ]

@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import (Monomial, MonomialIdeal, monomials_up_to_degree, mul,
-                   restrict_exponents, subring_ideal, support, total_degree)
+from .core import (Monomial, MonomialIdeal, RingCtx, monomials_up_to_degree,
+                   mul, restrict_exponents, total_degree)
 from .decomposition import Decomposition, decompose
 from .errors import DomainError, ResourceLimitError
-from .sdepth import sdepth_ideal, sdepth_module, sdepth_quotient
+from .sdepth import DEFAULT_POINT_CAP, sdepth_ideal, sdepth_quotient
 from .size import SizeReport, size
 
 # subset enumeration is exponential in the component count
@@ -43,11 +43,6 @@ class PivotSplit:
     def r(self) -> int:
         return len(self.pivot_vars)
 
-    @property
-    def var_order(self) -> tuple:
-        """Ambient indices, pivot block first; the implied relabeling."""
-        return tuple(sorted(self.pivot_vars)) + tuple(sorted(self.free_vars))
-
 
 @dataclass(frozen=True)
 class SummandFamily:
@@ -57,7 +52,7 @@ class SummandFamily:
     untouched_vars the remaining pivot variables.  multipliers are the
     finitely many monomials indexing the subset's summands: supported on
     touched_vars, each exponent below the least matching component
-    exponent, and lying in no component of the subset.
+    exponent, hence lying in no component of the subset.
     """
 
     subset: tuple
@@ -92,29 +87,27 @@ def build_split(D: Decomposition, pivot: int) -> PivotSplit:
     return PivotSplit(D, pivot, pivot_vars, free_vars)
 
 
+def _touched(split: PivotSplit, subset: tuple) -> frozenset:
+    """The pivot variables hit by the supports of the subset's components."""
+    comps = split.decomposition.components
+    return split.pivot_vars & frozenset().union(*(comps[j].support for j in subset))
+
+
 def _family(split: PivotSplit, subset: tuple) -> SummandFamily:
     comps = split.decomposition.components
-    touched = split.pivot_vars & frozenset().union(
-        *(comps[j].support for j in subset)) if subset else frozenset()
-    untouched = split.pivot_vars - touched
+    touched = _touched(split, subset)
+    order = sorted(touched)
+    bounds = [min(comps[j].exponent_of(i) for j in subset
+                  if i in comps[j].support) for i in order]
     n = split.decomposition.ring.n
-    bounds = {}
-    for i in sorted(touched):
-        bounds[i] = min(comps[j].exponent_of(i) for j in subset
-                        if i in comps[j].support)
-    ideals = [comps[j].as_ideal(split.decomposition.ring) for j in subset]
+    # product walks the box in lexicographic order, the order of the tuples
     mults = []
-    for combo in itertools.product(*[range(bounds[i]) for i in sorted(touched)]):
+    for combo in itertools.product(*(range(b) for b in bounds)):
         w = [0] * n
-        for i, e in zip(sorted(touched), combo):
+        for i, e in zip(order, combo):
             w[i] = e
-        w = tuple(w)
-        # every box element already avoids the subset's components
-        if any(Q.contains(w) for Q in ideals):
-            continue
-        mults.append(w)
-    mults.sort()
-    return SummandFamily(subset, touched, untouched, tuple(mults))
+        mults.append(tuple(w))
+    return SummandFamily(subset, touched, split.pivot_vars - touched, tuple(mults))
 
 
 def enumerate_families(split: PivotSplit) -> tuple:
@@ -135,20 +128,17 @@ def classify_monomial(split: PivotSplit, m: Monomial) -> MonomialClass:
     D = split.decomposition
     if len(m) != D.ring.n:
         raise DomainError("monomial does not fit the decomposition ring")
-    ideals = D.component_ideals()
+    comps = D.components
     u = restrict_exponents(m, split.pivot_vars)
-    outside = tuple(j for j, Q in enumerate(ideals) if not Q.contains(u))
-    if len(outside) == len(ideals):
+    subset = tuple(j for j, Q in enumerate(comps) if not Q.contains(u))
+    if len(subset) == D.s:
         return MonomialClass("free", u, None, None, False)
-    subset = outside
-    fam_touched = split.pivot_vars & (frozenset().union(
-        *(D.components[j].support for j in subset)) if subset else frozenset())
-    w = restrict_exponents(u, fam_touched)
+    w = restrict_exponents(u, _touched(split, subset))
     if not subset:
         return MonomialClass("family", u, subset, w, True)
     v = restrict_exponents(m, split.free_vars)
     z = mul(w, v)
-    in_ideal = all(ideals[j].contains(z) for j in subset)
+    in_ideal = all(comps[j].contains(z) for j in subset)
     return MonomialClass("family", u, subset, w, in_ideal)
 
 
@@ -172,36 +162,29 @@ def verify_direct_sum(split: PivotSplit, degree_cap: int = 6) -> DirectSumReport
     component inside.
     """
     D = split.decomposition
-    n = D.ring.n
-    ideals = D.component_ideals()
-    I = D.intersection()
-    qsum = ideals[0]
-    for Q in ideals[1:]:
-        qsum = qsum.sum(Q)
+    comps = D.components
     if D.s > SUBSET_CAP:
         raise ResourceLimitError(
             f"{D.s} components exceed the subset enumeration cap of {SUBSET_CAP}")
-    subsets = []
-    for t in range(D.s):
-        for subset in itertools.combinations(range(D.s), t):
-            touched = split.pivot_vars & (frozenset().union(
-                *(D.components[j].support for j in subset)) if subset else frozenset())
-            subsets.append((subset, touched))
+    I = D.intersection()
+    subsets = [(subset, _touched(split, subset)) for t in range(D.s)
+               for subset in itertools.combinations(range(D.s), t)]
     cap_warning = degree_cap < max(total_degree(g) for g in I.gens)
     violations = []
     checked = 0
-    for m in monomials_up_to_degree(n, degree_cap):
+    for m in monomials_up_to_degree(D.ring.n, degree_cap):
         checked += 1
         tag = classify_monomial(split, m)
         u = restrict_exponents(m, split.pivot_vars)
         found = []
-        if not qsum.contains(u):
+        # u lies in the sum of the components iff some component holds it
+        if not any(Q.contains(u) for Q in comps):
             found.append(("free", u, None, None))
         for subset, touched in subsets:
             w = restrict_exponents(u, touched)
-            if any(ideals[j].contains(w) for j in subset):
+            if any(comps[j].contains(w) for j in subset):
                 continue
-            if all(ideals[j].contains(u) for j in range(D.s) if j not in subset):
+            if all(comps[j].contains(u) for j in range(D.s) if j not in subset):
                 found.append(("family", u, subset, w))
         tag_key = (tag.kind, tag.spart, tag.subset, tag.multiplier)
         if len(found) != 1:
@@ -241,7 +224,7 @@ class PivotBound:
     base: int        # the n - r candidate
     value: int
     terms: tuple
-    skipped: tuple   # (subset, multiplier or None, reason)
+    skipped: tuple   # (subset, multiplier, reason)
 
 
 @dataclass(frozen=True)
@@ -254,38 +237,53 @@ class BoundReport:
         return self.per_pivot[self.best_pivot]
 
 
-def _pivot_bound(D: Decomposition, pivot: int, sdepth_kw: dict) -> PivotBound:
+def _meet(order: list, factors) -> MonomialIdeal:
+    """Intersection over the dense ring K[order] of pure-power ideals.
+
+    Each factor lists (variable, exponent) pairs in ambient indices and
+    stands for the ideal of S those powers generate.  Its intersection with
+    K[order] keeps the pairs on order, so a factor without such a pair makes
+    the result zero.  No factors at all give the unit ideal.
+    """
+    pos = {v: k for k, v in enumerate(order)}
+    ring = RingCtx(len(order))
+    out = None
+    for pairs in factors:
+        Q = MonomialIdeal(ring, [ring.variable(pos[i], e)
+                                 for i, e in pairs if i in pos])
+        if Q.is_zero:
+            return Q
+        out = Q if out is None else out.intersect(Q)
+    return MonomialIdeal.unit(ring) if out is None else out
+
+
+def _pivot_bound(D: Decomposition, pivot: int, cap_points: int,
+                 deadline: float | None) -> PivotBound:
     split = build_split(D, pivot)
-    ring = D.ring
-    n = ring.n
-    base = n - split.r
-    ideals = D.component_ideals()
+    comps = D.components
+    base = D.ring.n - split.r
+    free = sorted(split.free_vars)
     candidates = [base]
     terms = []
     skipped = []
     for fam in enumerate_families(split):
-        inner = None
-        for j in fam.subset:
-            inner = ideals[j] if inner is None else inner.intersect(ideals[j])
-        quot = inner.restrict(split.free_vars)
-        if quot.is_unit:
-            skipped.append((fam.subset, None, "quotient module vanishes"))
-            continue
-        quotient_part = sdepth_quotient(
-            subring_ideal(quot, split.free_vars), **sdepth_kw)
+        # the subset's components meet K[free]: proper, so never the unit ideal
+        quot = _meet(free, (comps[j].powers for j in fam.subset))
+        quotient_part = sdepth_quotient(quot, cap_points=cap_points,
+                                        deadline=deadline)
+        untouched = sorted(fam.untouched_vars)
         for w in fam.multipliers:
-            outer = None
-            for j in range(D.s):
-                if j in fam.subset:
-                    continue
-                Qc = ideals[j].colon(w)
-                outer = Qc if outer is None else outer.intersect(Qc)
-            slice_ideal = outer.restrict(fam.untouched_vars)
+            # (Q_j : w) over j outside the subset, meet K[untouched].  w lives
+            # on the touched variables, so on the untouched ones Q_j : w keeps
+            # the powers of Q_j, or is the unit ideal when Q_j holds w
+            outside = (Q.powers for j, Q in enumerate(comps)
+                       if j not in fam.subset and not Q.contains(w))
+            slice_ideal = _meet(untouched, outside)
             if slice_ideal.is_zero:
                 skipped.append((fam.subset, w, "slice ideal is zero"))
                 continue
-            ideal_part = sdepth_ideal(
-                subring_ideal(slice_ideal, fam.untouched_vars), **sdepth_kw)
+            ideal_part = sdepth_ideal(slice_ideal, cap_points=cap_points,
+                                      deadline=deadline)
             term = BoundTerm(fam.subset, w, ideal_part, quotient_part,
                              degenerate=not fam.untouched_vars)
             terms.append(term)
@@ -297,25 +295,21 @@ def _pivot_bound(D: Decomposition, pivot: int, sdepth_kw: dict) -> PivotBound:
 
 def sdepth_lower_bound(I: MonomialIdeal, pivot: int | None = None,
                        decomposition: Decomposition | None = None, *,
-                       cap_points: int | None = None,
-                       timeout_ms: int | None = None) -> BoundReport:
+                       cap_points: int = DEFAULT_POINT_CAP,
+                       deadline: float | None = None) -> BoundReport:
     """Recursive lower bound for sdepth(S/I), per pivot and overall.
 
     With pivot None every component is tried and the best (largest) pivot
-    bound is reported; ties resolve to the lowest pivot index.
+    bound is reported; ties resolve to the lowest pivot index.  cap_points
+    and deadline, a time.monotonic() reading, limit every depth search.
     """
     D = decomposition if decomposition is not None else decompose(I)
-    sdepth_kw = {}
-    if cap_points is not None:
-        sdepth_kw["cap_points"] = cap_points
-    if timeout_ms is not None:
-        sdepth_kw["timeout_ms"] = timeout_ms
     pivots = range(D.s) if pivot is None else [pivot]
     per = []
     for p in pivots:
         if not 0 <= p < D.s:
             raise DomainError(f"pivot {p} outside 0..{D.s - 1}")
-        per.append(_pivot_bound(D, p, sdepth_kw))
+        per.append(_pivot_bound(D, p, cap_points, deadline))
     best = max(range(len(per)), key=lambda k: per[k].value)
     return BoundReport(value=per[best].value, best_pivot=best, per_pivot=tuple(per))
 
@@ -389,20 +383,16 @@ class CheckReport:
         return True
 
 
-def check_size_inequality(I: MonomialIdeal, *, cap_points: int | None = None,
-                          timeout_ms: int | None = None) -> CheckReport:
+def check_size_inequality(I: MonomialIdeal, *,
+                          cap_points: int = DEFAULT_POINT_CAP,
+                          deadline: float | None = None) -> CheckReport:
     """Compare size, the recursive bound, and exact Stanley depth for I."""
     D = decompose(I)
     size_rep = size(I, decomposition=D)
     hyp = hypothesis_check(D)
     bound_rep = sdepth_lower_bound(I, decomposition=D,
-                                   cap_points=cap_points, timeout_ms=timeout_ms)
-    kw = {}
-    if cap_points is not None:
-        kw["cap_points"] = cap_points
-    if timeout_ms is not None:
-        kw["timeout_ms"] = timeout_ms
-    sd = sdepth_quotient(I, **kw)
+                                   cap_points=cap_points, deadline=deadline)
+    sd = sdepth_quotient(I, cap_points=cap_points, deadline=deadline)
     return CheckReport(
         ideal=I,
         decomposition=D,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .bound import (BoundReport, CheckReport, check_size_inequality,
                     build_split, sdepth_lower_bound, verify_direct_sum)
@@ -20,7 +21,7 @@ from .decomposition import Decomposition, decompose
 from .errors import (DomainError, ExponentCapError, ParseError,
                      ResourceLimitError, RingMismatchError, StanleyError)
 from .parsing import parse_ideal
-from .sdepth import sdepth_module
+from .sdepth import DEFAULT_POINT_CAP, sdepth_module
 from .size import size
 
 USAGE_EXIT = 1
@@ -53,13 +54,11 @@ def _load_ideal(args) -> MonomialIdeal:
     return parse_ideal(text, ring)
 
 
-def _sdepth_kw(args) -> dict:
-    kw = {}
-    if getattr(args, "sdepth_cap_points", None) is not None:
-        kw["cap_points"] = args.sdepth_cap_points
-    if getattr(args, "sdepth_timeout_ms", None) is not None:
-        kw["timeout_ms"] = args.sdepth_timeout_ms
-    return kw
+def _deadline(args) -> float | None:
+    """When the command's depth searches must stop, on time.monotonic()."""
+    if args.sdepth_timeout_ms is None:
+        return None
+    return time.monotonic() + args.sdepth_timeout_ms / 1000.0
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -160,14 +159,14 @@ def _cmd_size(args) -> int:
 
 
 def _cmd_sdepth(args) -> int:
+    deadline = _deadline(args)
     I = _load_ideal(args)
-    kw = _sdepth_kw(args)
     if args.module == "quotient":
-        result = sdepth_module(I, MonomialIdeal.unit(I.ring), **kw)
-        label = "sdepth(S/I)"
+        pair, label = (I, MonomialIdeal.unit(I.ring)), "sdepth(S/I)"
     else:
-        result = sdepth_module(MonomialIdeal.zero(I.ring), I, **kw)
-        label = "sdepth(I)"
+        pair, label = (MonomialIdeal.zero(I.ring), I), "sdepth(I)"
+    result = sdepth_module(*pair, cap_points=args.sdepth_cap_points,
+                           deadline=deadline)
     print(f"I = {I.render()}")
     print(f"{label} = {result.value}   (ring of {I.ring.n}, caps g = {result.g})")
     print(f"witness partition, {len(result.intervals)} intervals:")
@@ -197,14 +196,14 @@ def _parse_pivot(value: str, s: int) -> list:
 
 
 def _cmd_bound(args) -> int:
+    deadline = _deadline(args)
     I = _load_ideal(args)
     D = decompose(I)
     pivots = _parse_pivot(args.pivot, D.s)
-    kw = _sdepth_kw(args)
-    if len(pivots) == D.s:
-        rep = sdepth_lower_bound(I, decomposition=D, **kw)
-    else:
-        rep = sdepth_lower_bound(I, pivot=pivots[0], decomposition=D, **kw)
+    pivot = None if len(pivots) == D.s else pivots[0]
+    rep = sdepth_lower_bound(I, pivot=pivot, decomposition=D,
+                             cap_points=args.sdepth_cap_points,
+                             deadline=deadline)
     print(f"I = {I.render()}   s = {D.s}")
     for pb in rep.per_pivot:
         print(f"pivot {pb.pivot + 1}: bound {pb.value}  "
@@ -218,8 +217,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    deadline = _deadline(args)
     I = _load_ideal(args)
-    rep = check_size_inequality(I, **_sdepth_kw(args))
+    rep = check_size_inequality(I, cap_points=args.sdepth_cap_points,
+                                deadline=deadline)
     print(f"I = {I.render()}   (ring of {rep.ideal.ring.n}, s = {rep.decomposition.s})")
     print(f"size = {rep.size.size}  (h = {rep.size.h}, v = {rep.size.v})")
     print("hypothesis: " + ("satisfied" if rep.hypothesis.satisfied else
@@ -286,17 +287,18 @@ def _parse_range(text: str) -> tuple:
 
 
 def _cmd_corpus(args) -> int:
+    deadline = _deadline(args)
     spec = CorpusSpec(seed=args.seed, count=args.count, family=args.family,
                       n_range=_parse_range(args.n),
                       gens_range=_parse_range(args.gens),
                       max_exponent=args.max_exponent)
     ideals = generate_corpus(spec)
-    kw = _sdepth_kw(args)
     results = []
     failures = []
     slacks = []
     for k, I in enumerate(ideals):
-        rep = check_size_inequality(I, **kw)
+        rep = check_size_inequality(I, cap_points=args.sdepth_cap_points,
+                                    deadline=deadline)
         results.append(_check_json(rep))
         slacks.append(rep.sdepth_exact - rep.size.size)
         status = "ok" if rep.ok else "VIOLATION"
@@ -331,10 +333,10 @@ def _add_ideal_args(sub) -> None:
 
 
 def _add_sdepth_args(sub) -> None:
-    sub.add_argument("--sdepth-cap-points", type=int, default=None,
-                     help="largest poset size searched (default 20000)")
+    sub.add_argument("--sdepth-cap-points", type=int, default=DEFAULT_POINT_CAP,
+                     help="largest poset size searched (default %(default)s)")
     sub.add_argument("--sdepth-timeout-ms", type=int, default=None,
-                     help="time budget for each depth search")
+                     help="time budget for all depth searches of the command")
 
 
 def build_parser() -> _Parser:

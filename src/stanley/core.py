@@ -74,11 +74,6 @@ def lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def gcd(a: Monomial, b: Monomial) -> Monomial:
-    _check_len(a, b)
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def mul(a: Monomial, b: Monomial) -> Monomial:
     _check_len(a, b)
     return tuple(x + y for x, y in zip(a, b))
@@ -229,23 +224,20 @@ class MonomialIdeal:
         return MonomialIdeal(self.ring, [squarefree_part(g) for g in self.gens])
 
     def restrict(self, vars: VarSet) -> "MonomialIdeal":
-        """The ideal of S generated by the intersection with K[vars].
+        """The intersection with K[vars], as an ideal of the dense ring K[vars].
 
-        Keeps the generators supported inside vars, so every generator of
-        the result lies in K[vars].  The result is still an ideal of the
-        ambient ring and holds multiples outside K[vars]; its members inside
-        K[vars] are exactly those of self, since a generator dividing such a
-        member is supported inside vars too.  subring_ideal(result, vars)
-        turns it into the ideal over the dense ring K[vars].
+        The subring's variables keep their names and increasing order.  Its
+        generators are those of self supported inside vars, re-indexed, since
+        a generator dividing a member of K[vars] is supported inside vars too.
         """
-        kept = [g for g in self.gens if support(g) <= vars]
-        return MonomialIdeal(self.ring, kept)
-
-    def support_union(self) -> VarSet:
-        out = set()
-        for g in self.gens:
-            out |= support(g)
-        return frozenset(out)
+        order = sorted(vars)
+        if any(not 0 <= i < self.ring.n for i in order):
+            raise DomainError(f"variable index outside ring of {self.ring.n}")
+        ring = RingCtx(len(order), tuple(self.ring.var_names[i] for i in order))
+        allowed = frozenset(order)
+        kept = [tuple(g[i] for i in order) for g in self.gens
+                if support(g) <= allowed]
+        return MonomialIdeal(ring, kept)
 
     def is_squarefree(self) -> bool:
         return all(is_squarefree(g) for g in self.gens)
@@ -309,49 +301,3 @@ def render_monomial(m: Monomial, ring: RingCtx) -> str:
         elif e > 1:
             parts.append(f"{ring.var_names[i]}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-# ---------------------------------------------------------------------------
-# changing rings
-# ---------------------------------------------------------------------------
-
-def map_variables(I: MonomialIdeal, new_ring: RingCtx, var_map: dict) -> MonomialIdeal:
-    """Transport I along an injective variable map old index -> new index.
-
-    Every variable in the support of a generator must be mapped.
-    """
-    targets = list(var_map.values())
-    if len(set(targets)) != len(targets):
-        raise DomainError("variable map must be injective")
-    new_gens = []
-    for g in I.gens:
-        exps = [0] * new_ring.n
-        for i, e in enumerate(g):
-            if e == 0:
-                continue
-            if i not in var_map:
-                raise DomainError(f"variable {i} in support but not mapped")
-            exps[var_map[i]] = e
-        new_gens.append(tuple(exps))
-    return MonomialIdeal(new_ring, new_gens)
-
-
-def subring_ideal(I: MonomialIdeal, vars: VarSet) -> MonomialIdeal:
-    """Re-index an ideal supported inside vars to a dense ring on vars.
-
-    Variables are kept in increasing order.  Generators with support
-    outside vars are rejected.
-    """
-    order = sorted(vars)
-    allowed = frozenset(vars)
-    if any(not support(g) <= allowed for g in I.gens):
-        raise DomainError("generator supported outside the subring")
-    new_ring = RingCtx(len(order))
-    var_map = {old: new for new, old in enumerate(order)}
-    return map_variables(I, new_ring, var_map)
-
-
-def extend_ideal(I: MonomialIdeal, new_ring: RingCtx, positions: Iterable) -> MonomialIdeal:
-    """Embed I into a larger ring, sending variable i to positions[i]."""
-    var_map = {i: p for i, p in enumerate(positions)}
-    return map_variables(I, new_ring, var_map)

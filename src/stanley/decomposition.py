@@ -80,9 +80,6 @@ class Decomposition:
             out = out.intersect(comp.as_ideal(self.ring))
         return out
 
-    def component_ideals(self) -> tuple:
-        return tuple(c.as_ideal(self.ring) for c in self.components)
-
 
 def is_irreducible(I: MonomialIdeal) -> bool:
     """True iff every minimal generator is a pure variable power.

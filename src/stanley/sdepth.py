@@ -219,12 +219,13 @@ def _search_partition(points: tuple, g: tuple, d: int, deadline) -> list | None:
 
 def sdepth_module(I: MonomialIdeal, J: MonomialIdeal, *,
                   cap_points: int = DEFAULT_POINT_CAP,
-                  timeout_ms: int | None = None) -> StanleyDecomposition:
+                  deadline: float | None = None) -> StanleyDecomposition:
     """Exact Stanley depth of J/I with a witness partition.
 
     I must be strictly contained in J.  Raises ResourceLimitError when the
-    poset exceeds cap_points or the search exceeds timeout_ms; a cached
-    result is returned as is, since the limits only guard fresh work.
+    poset exceeds cap_points or the search runs past deadline, a
+    time.monotonic() reading; a cached result is returned as is, since the
+    limits only guard fresh work.
     """
     if I.ring != J.ring:
         raise RingMismatchError("module pair needs one ring")
@@ -241,11 +242,6 @@ def sdepth_module(I: MonomialIdeal, J: MonomialIdeal, *,
     if len(points) > cap_points:
         raise ResourceLimitError(
             f"poset has {len(points)} points, over the cap of {cap_points}")
-    deadline = None
-    if timeout_ms is not None:
-        if timeout_ms <= 0:
-            raise ResourceLimitError("stanley depth search timed out")
-        deadline = time.monotonic() + timeout_ms / 1000.0
 
     n = I.ring.n
     witness = None

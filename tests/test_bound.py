@@ -1,5 +1,7 @@
 """The pivot-split lower bound, the classifier, and the size inequality."""
 
+import math
+
 import pytest
 from hypothesis import given
 
@@ -71,6 +73,22 @@ def test_family_enumeration():
     assert by_subset[(0,)].touched_vars == frozenset({0, 1})
     assert by_subset[(0,)].untouched_vars == frozenset()
     assert by_subset[(0,)].multipliers == ((0, 0, 0), (1, 0, 0))
+
+
+@given(ideals(n_max=4, gens_max=4, exp_max=3))
+def test_multipliers_avoid_their_subset(I):
+    # a family's multipliers fill the box below the least matching exponents,
+    # in lexicographic order, and each avoids every component of its subset
+    D = decompose(I)
+    for pivot in range(D.s):
+        for fam in enumerate_families(build_split(D, pivot)):
+            comps = [D.components[j] for j in fam.subset]
+            bounds = [min(Q.exponent_of(i) for Q in comps if i in Q.support)
+                      for i in fam.touched_vars]
+            assert len(fam.multipliers) == math.prod(bounds)
+            assert list(fam.multipliers) == sorted(set(fam.multipliers))
+            for w in fam.multipliers:
+                assert not any(Q.as_ideal(D.ring).contains(w) for Q in comps)
 
 
 def test_subset_cap():

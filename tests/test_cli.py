@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -9,6 +10,7 @@ from stanley import cli, clear_cache
 from stanley.bound import check_size_inequality
 
 EXAMPLE = "x1^2, x2*x3"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(*argv):
@@ -59,6 +61,15 @@ def test_resource_limit_exit(capsys):
     clear_cache()
     assert run("sdepth", EXAMPLE, "--sdepth-cap-points", "1") == cli.RESOURCE_EXIT
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_timeout_bounds_whole_command(capsys):
+    # the bound runs hundreds of depth searches of a few ms each, so only a
+    # deadline shared by the whole command stops it within 50 ms
+    clear_cache()
+    cycle = "x1^3*x2^2, x2^3*x3^2, x3^3*x4^2, x4^3*x1^2"
+    assert run("check", cycle, "--sdepth-timeout-ms", "50") == cli.RESOURCE_EXIT
+    assert "timed out" in capsys.readouterr().err
 
 
 def test_violation_exit(monkeypatch, capsys):
@@ -193,3 +204,26 @@ def test_corpus_deterministic(tmp_path, capsys):
     assert data["summary"]["count"] == 4
     assert data["summary"]["failures"] == []
     assert "4 ideals, 0 violations" in first
+
+
+# family, --n, --gens, --max-exponent: the shapes the benchmark's
+# corpus-check workload runs.  The reports pin every value and exit code of
+# size, the bound and the exact search; a refactor reproduces them byte for
+# byte
+GOLDEN_CORPORA = (
+    ("general", "2..4", "2..2", "2"),
+    ("squarefree", "2..5", "2..2", "1"),
+    ("hypothesis-satisfying", "2..4", "2..3", "2"),
+)
+
+
+@pytest.mark.parametrize("family, n, gens, max_exponent", GOLDEN_CORPORA)
+def test_corpus_reports_match_golden(family, n, gens, max_exponent,
+                                     tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run("corpus", "--seed", "9", "--count", "10", "--family", family,
+               "--n", n, "--gens", gens, "--max-exponent", max_exponent,
+               "--json", str(out)) == 0
+    want = GOLDEN / f"corpus_seed9_{family}"
+    assert capsys.readouterr().out == want.with_suffix(".out").read_text()
+    assert out.read_bytes() == want.with_suffix(".json").read_bytes()

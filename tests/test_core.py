@@ -5,11 +5,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from stanley import (EXPONENT_CAP, DomainError, ExponentCapError,
-                     MonomialIdeal, RingCtx, RingMismatchError, divides,
-                     extend_ideal, gcd, lcm, map_variables,
+                     MonomialIdeal, RingCtx, RingMismatchError, divides, lcm,
                      monomials_up_to_degree, mul, polarization_parents,
                      quotient, render_monomial, restrict_exponents,
-                     squarefree_part, subring_ideal, support, total_degree)
+                     squarefree_part, support, total_degree)
 
 import oracles
 from conftest import ideal_pairs, ideals, monomials
@@ -41,7 +40,6 @@ def test_monomial_helpers():
     assert not divides(a, b) and not divides(b, a)
     assert divides((1, 0, 0), a)
     assert lcm(a, b) == (2, 1, 1)
-    assert gcd(a, b) == (1, 0, 0)
     assert mul(a, b) == (3, 1, 1)
     assert quotient(a, b) == (1, 0, 1)
     assert quotient(b, a) == (0, 1, 0)
@@ -129,31 +127,40 @@ def test_radical_idempotent(I):
 
 @given(ideals(), st.data())
 def test_restrict_is_subring_intersection(I, data):
-    # I.restrict(vars) is an ideal of S, so it also holds multiples outside
-    # K[vars]; it is the intersection with the subring through its
-    # generators and its members inside K[vars], which together fix it.
+    # I.restrict(V) is I meet K[V] over the dense ring K[V]: put back into
+    # S, its members are exactly the members of I supported in V.
     n = I.ring.n
-    vars = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
-    caps = (4,) * n
-    R = I.restrict(vars)
-    assert all(support(g) <= vars for g in R.gens)
-    got = {m for m in oracles.members_within(R.gens, caps)
-           if support(m) <= vars}
-    want = {m for m in oracles.members_within(I.gens, caps)
-            if support(m) <= vars}
+    V = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
+    order = sorted(V)
+    R = I.restrict(V)
+    assert R.ring.var_names == tuple(I.ring.var_names[i] for i in order)
+    got = set()
+    for m in oracles.members_within(R.gens, (4,) * len(order)):
+        full = [0] * n
+        for i, e in zip(order, m):
+            full[i] = e
+        got.add(tuple(full))
+    want = {m for m in oracles.members_within(I.gens, (4,) * n)
+            if support(m) <= V}
     assert got == want
 
 
 def test_restrict_known_case():
-    # I = (x1) in K[x1, x2], V = {x1}: the restriction is I itself, an ideal
-    # of S holding x1*x2, and only its members inside K[V] are those of I.
-    I = MonomialIdeal(RingCtx(2), [(1, 0)])
-    V = frozenset({0})
-    R = I.restrict(V)
-    assert R == I
-    assert subring_ideal(R, V).gens == ((1,),)
-    assert R.contains((1, 1))
-    assert not support((1, 1)) <= V
+    # I = (x1) in K[x1, x2], V = {x1}: the restriction is (x1) in K[x1]; the
+    # multiple x1*x2 of I lies outside K[V] and has no counterpart there.
+    R = MonomialIdeal(RingCtx(2), [(1, 0)]).restrict(frozenset({0}))
+    assert R.ring == RingCtx(1)
+    assert R.gens == ((1,),)
+    # dense re-index onto the kept variables, which keep their names
+    I = MonomialIdeal(R3, [(0, 2, 0), (0, 1, 1)])
+    small = I.restrict(frozenset({1, 2}))
+    assert small.ring.var_names == ("x2", "x3")
+    assert small.gens == ((1, 1), (2, 0))
+    assert small.render() == "x2*x3, x2^2"
+    assert I.restrict(frozenset({0})).is_zero
+    assert I.restrict(frozenset()).ring.n == 0
+    with pytest.raises(DomainError):
+        I.restrict(frozenset({3}))
 
 
 def test_render():
@@ -195,18 +202,3 @@ def test_squarefree_polarize_is_identity_like():
     P, added = I.polarize()
     assert added == 0
     assert P.gens == I.gens
-
-
-def test_ring_transport():
-    I = MonomialIdeal(R3, [(0, 2, 0), (0, 1, 1)])
-    # dense reindex onto the support variables
-    small = subring_ideal(I, frozenset({1, 2}))
-    assert small.ring.n == 2
-    assert small.gens == ((1, 1), (2, 0))
-    with pytest.raises(DomainError):
-        subring_ideal(I, frozenset({0}))
-    big = extend_ideal(small, RingCtx(4), (1, 2))
-    assert big.gens == ((0, 1, 1, 0), (0, 2, 0, 0))
-    assert extend_ideal(small, R3, (1, 2)) == I
-    with pytest.raises(DomainError):
-        map_variables(I, RingCtx(2), {0: 0, 1: 1, 2: 1})

@@ -82,7 +82,7 @@ def test_irredundant(I):
         return
     for k in range(D.s):
         rest = None
-        for j, Q in enumerate(D.component_ideals()):
+        for j, Q in enumerate(c.as_ideal(D.ring) for c in D.components):
             if j == k:
                 continue
             rest = Q if rest is None else rest.intersect(Q)

@@ -1,5 +1,7 @@
 """The exact depth search against naive interval-partition enumeration."""
 
+import time
+
 import pytest
 from hypothesis import given, assume
 import hypothesis.strategies as st
@@ -129,7 +131,7 @@ def test_resource_contracts():
     with pytest.raises(ResourceLimitError):
         sdepth_quotient(I, cap_points=3)
     with pytest.raises(ResourceLimitError):
-        sdepth_quotient(I, timeout_ms=0)
+        sdepth_quotient(I, deadline=time.monotonic() - 1)
     big = MonomialIdeal(RingCtx(4), [(60, 60, 60, 60)])
     with pytest.raises(ResourceLimitError):
         sdepth_quotient(big)
