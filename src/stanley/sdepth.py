@@ -15,6 +15,15 @@ partition the lexicographically least uncovered point must be the lower
 endpoint of the interval covering it, so the search only branches on upper
 endpoints, tried in decreasing dimension.  Residual states that failed are
 memoized as bitmasks.  Witnesses are deterministic.
+
+The walk over d starts at an upper bound and goes down; the first feasible d
+is the answer.  For a squarefree pair (g all ones) the bound is the interval
+counting condition of Keller and Young, "Stanley depth of squarefree monomial
+ideals": given a partition with every dimension >= d, the points of degree at
+most d split into intervals ending in degree d, and the number of those
+starting in degree k, a signed sum of the counts per degree, cannot be
+negative.  Otherwise the walk starts at n.  The bound only skips searches
+that must fail; every reported d is found by the search itself.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 
 from .core import Monomial, MonomialIdeal
 from .errors import DomainError, ResourceLimitError, RingMismatchError
@@ -217,6 +226,27 @@ def _search_partition(points: tuple, g: tuple, d: int, deadline) -> list | None:
     return None
 
 
+def _counting_bound(points: tuple, g: tuple) -> int:
+    """Largest d <= n with beta_k^d >= 0 for all k <= d; n unless g is all ones.
+
+    alpha_j counts the points of degree j.  If a depth-d partition exists,
+    beta_k^d = sum_j (-1)^(k-j) C(d-j, k-j) alpha_j counts the intervals
+    starting in degree k when the points of degree <= d are split into
+    intervals ending in degree d.
+    """
+    n = len(g)
+    if any(cap != 1 for cap in g):
+        return n
+    alpha = [0] * (n + 1)
+    for p in points:
+        alpha[sum(p)] += 1
+    for d in range(n, 0, -1):
+        if all(sum((-1) ** (k - j) * comb(d - j, k - j) * alpha[j]
+                   for j in range(k + 1)) >= 0 for k in range(d + 1)):
+            return d
+    return 0
+
+
 def sdepth_module(I: MonomialIdeal, J: MonomialIdeal, *,
                   cap_points: int = DEFAULT_POINT_CAP,
                   deadline: float | None = None) -> StanleyDecomposition:
@@ -243,9 +273,8 @@ def sdepth_module(I: MonomialIdeal, J: MonomialIdeal, *,
         raise ResourceLimitError(
             f"poset has {len(points)} points, over the cap of {cap_points}")
 
-    n = I.ring.n
     witness = None
-    for d in range(n, 0, -1):
+    for d in range(_counting_bound(points, g), 0, -1):
         witness = _search_partition(points, g, d, deadline)
         if witness is not None:
             break

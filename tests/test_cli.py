@@ -1,6 +1,7 @@
 """Command line surface: exit codes, stdout, and JSON reports."""
 
 import dataclasses
+import itertools
 import json
 import pathlib
 
@@ -227,3 +228,35 @@ def test_corpus_reports_match_golden(family, n, gens, max_exponent,
     want = GOLDEN / f"corpus_seed9_{family}"
     assert capsys.readouterr().out == want.with_suffix(".out").read_text()
     assert out.read_bytes() == want.with_suffix(".json").read_bytes()
+
+
+def veronese_text(n, d):
+    """I_{n,d}, every squarefree monomial of degree d in n variables."""
+    return ", ".join("*".join(f"x{i + 1}" for i in c)
+                     for c in itertools.combinations(range(n), d))
+
+
+def sdepth_reports(module, tmp_path):
+    """stdout and the --json files of `stanley sdepth` on I_{n,d}, n <= 6.
+
+    Calls run in order n = 2..6, d = 1..n; the JSON files are joined one
+    after another, each as the command wrote it.
+    """
+    out = tmp_path / "report.json"
+    reports = []
+    for n in range(2, 7):
+        for d in range(1, n + 1):
+            assert run("sdepth", veronese_text(n, d), "--ring", str(n),
+                       "--module", module, "--json", str(out)) == 0
+            reports.append(out.read_bytes())
+    return b"".join(reports)
+
+
+# the witnesses depend on the order in which the search tries d and interval
+# tops; a change to that order has to regenerate these files and say so
+@pytest.mark.parametrize("module", ["ideal", "quotient"])
+def test_sdepth_reports_match_golden(module, tmp_path, capsys):
+    reports = sdepth_reports(module, tmp_path)
+    want = GOLDEN / f"sdepth_veronese_{module}"
+    assert capsys.readouterr().out == want.with_suffix(".out").read_text()
+    assert reports == want.with_suffix(".jsons").read_bytes()

@@ -1,5 +1,6 @@
 """The exact depth search against naive interval-partition enumeration."""
 
+import itertools
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from stanley import (DomainError, MonomialIdeal, ResourceLimitError, RingCtx,
                      RingMismatchError, cap_vector, characteristic_points,
                      clear_cache, parse_ideal, sdepth_ideal, sdepth_module,
                      sdepth_quotient)
+from stanley.sdepth import _counting_bound, _search_partition
 
 import oracles
 from conftest import ideal_pairs, ideals
@@ -147,3 +149,62 @@ def test_cache_round_trip():
     fresh = sdepth_module(I, MonomialIdeal.unit(R3))
     assert fresh is not first
     assert fresh.value == first.value
+
+
+@st.composite
+def squarefree_pairs(draw, n_max=5, gens_max=4):
+    """(I, J) squarefree with I inside J: an ideal, a quotient or a general pair."""
+    n = draw(st.integers(1, n_max))
+    ring = RingCtx(n)
+    gens = st.lists(st.tuples(*[st.integers(0, 1)] * n).filter(any),
+                    min_size=1, max_size=gens_max)
+    A = MonomialIdeal(ring, draw(gens))
+    kind = draw(st.sampled_from(["ideal", "quotient", "general"]))
+    if kind == "ideal":
+        return MonomialIdeal.zero(ring), A
+    if kind == "quotient":
+        return A, MonomialIdeal.unit(ring)
+    J = MonomialIdeal(ring, draw(gens))
+    return A.intersect(J), J
+
+
+@given(squarefree_pairs())
+def test_counting_bound_is_sound(pair):
+    I, J = pair
+    assume(I != J)
+    g = cap_vector(I, J)
+    assert set(g) == {1}
+    pts = characteristic_points(I, J, g)
+    u = _counting_bound(pts, g)
+    if len(pts) <= 12:
+        assert u >= oracles.naive_sdepth(pts, g)
+    if u < len(g):
+        # the search confirms every depth the bound rules out
+        assert _search_partition(pts, g, u + 1, None) is None
+
+
+def squarefree_ideal(n, supports):
+    return MonomialIdeal(RingCtx(n), [tuple(1 if i in c else 0 for i in range(n))
+                                      for c in supports])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_squarefree_veronese_closed_forms(n):
+    # Keller, Shen, Streib and Young for the ideal; d = 1 is the maximal
+    # ideal, of depth ceil(n/2) (Biro et al.)
+    for d in range(1, n + 1):
+        I = squarefree_ideal(n, itertools.combinations(range(n), d))
+        assert sdepth_ideal(I) == (n - d) // (d + 1) + d
+        assert sdepth_quotient(I) == d - 1
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_complete_intersection_closed_forms(n):
+    # m monomials on disjoint supports (Shen): singletons x1..x_{m-1} and
+    # one last block ending at x_used
+    for m in range(1, n + 1):
+        for used in sorted({m, n}):
+            blocks = [[i] for i in range(m - 1)] + [list(range(m - 1, used))]
+            I = squarefree_ideal(n, blocks)
+            assert sdepth_ideal(I) == n - m // 2
+            assert sdepth_quotient(I) == n - m
