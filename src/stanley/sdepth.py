@@ -4,32 +4,53 @@ For monomial ideals I strictly inside J over the same ring, the exponent
 vectors of monomials of J outside I, bounded componentwise by a cap vector
 g, form a finite poset.  Stanley decompositions of J/I correspond to
 partitions of that poset into intervals [a, b]; an interval contributes
-dimension |{i : b_i = g_i}|, and the Stanley depth of J/I is the largest d
-such that some partition uses only intervals of dimension at least d.  The
-reduction is exact once g dominates every generator exponent of I and J;
-coordinates missing from all generators are capped at 1 so they keep
+dimension rho(b) = |{i : b_i = g_i}|, and the Stanley depth of J/I is the
+largest d such that some partition uses only intervals of dimension at least
+d.  The reduction is exact once g dominates every generator exponent of I
+and J; coordinates missing from all generators are capped at 1 so they keep
 counting as free directions.
 
-The feasibility search walks points in lexicographic order.  In any interval
-partition the lexicographically least uncovered point must be the lower
-endpoint of the interval covering it, so the search only branches on upper
-endpoints, tried in decreasing dimension.  Residual states that failed are
-memoized as bitmasks.  Witnesses are deterministic.
+Depth d only needs intervals whose top has dimension exactly d, plus the
+points of dimension above d, which form an up-set.  Given an interval with
+rho(b) > d and some i with a_i < b_i = g_i, split it into the part with
+x_i < g_i, of dimension rho(b) - 1, and the part with x_i = g_i, of
+dimension rho(b).  Repeating leaves intervals of dimension d and intervals
+whose lower endpoint already has every capped coordinate of its top, so all
+their points have dimension above d.  So sdepth(J/I) >= d exactly when the
+points of dimension at most d split into intervals with tops of dimension d;
+no box of such an interval can reach the up-set.  For squarefree pairs this
+is the "tops in degree d" reduction of Keller and Young, "Stanley depth of
+squarefree monomial ideals".
 
-The walk over d starts at an upper bound and goes down; the first feasible d
-is the answer.  For a squarefree pair (g all ones) the bound is the interval
-counting condition of Keller and Young, "Stanley depth of squarefree monomial
-ideals": given a partition with every dimension >= d, the points of degree at
-most d split into intervals ending in degree d, and the number of those
-starting in degree k, a signed sum of the counts per degree, cannot be
-negative.  Otherwise the walk starts at n.  The bound only skips searches
-that must fail; every reported d is found by the search itself.
+The feasibility search walks the points of dimension at most d in
+lexicographic order.  In any interval partition the lexicographically least
+uncovered point must be the lower endpoint of the interval covering it, so
+the search only branches on tops of dimension d, tried in lexicographic
+order.  A set of points has the Hilbert series H(t) = sum_a t^|a|
+(1-t)^-rho(a).  For the points of an interval [a, b] with rho(b) = d,
+(1-t)^d H(t) is t^|a| times the product of 1 + t + ... + t^(b_i - a_i) over
+the i with b_i < g_i, which has no negative coefficient.  So a state whose
+uncovered points give (1-t)^d H(t) a negative coefficient cannot be finished
+and is dropped.  Residual states that failed are memoized as bitmasks.  After a
+success the up-set is covered greedily, without backtracking, and the
+witness is sorted by lower endpoint; witnesses are deterministic.
+
+The walk over d starts at the Hilbert depth of J/I and goes down; the first
+feasible d is the answer.  With H(t) the Hilbert series of all the points,
+which is that of J/I, the Hilbert depth is the largest r with no negative
+coefficient in (1-t)^r H(t).  A partition of depth d makes
+(1-t)^d H(t) a sum of terms t^|a| (1-t)^(d - dim) with d - dim <= 0, so
+sdepth <= hdepth (Uliczka, "Remarks on Hilbert series of graded modules over
+polynomial rings"); for squarefree pairs this is the interval counting
+condition of Keller and Young.  The bound only skips searches that must
+fail; every reported d is found by the search itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, prod
 
@@ -120,13 +141,16 @@ def characteristic_points(I: MonomialIdeal, J: MonomialIdeal, g: tuple) -> tuple
     return tuple(out)
 
 
-def _candidates(p: tuple, g: tuple, d: int, idx: dict, unc: int) -> list:
-    """Valid interval tops above p, every box point uncovered, dim >= d.
+def _candidates(p: tuple, g: tuple, d: int, idx: dict, unc: int):
+    """Yield interval tops above p of dimension exactly d, every box point uncovered.
 
-    Returned as (dim, top) sorted by decreasing dimension then lex order.
+    Tops come in lex order, one at a time, so a caller that needs only the
+    first pays only for that one.  A top of dimension d bounds every box
+    point's dimension by d, and the split in the module docstring turns any
+    wider interval of a partition into ones of dimension d and points of the
+    up-set above d, so wider tops are never needed.
     """
     n = len(g)
-    out = []
     b = list(p)
 
     def slice_ok(i: int, v: int) -> bool:
@@ -137,24 +161,22 @@ def _candidates(p: tuple, g: tuple, d: int, idx: dict, unc: int) -> list:
                 return False
         return True
 
-    def rec(i: int, caps: int) -> None:
-        if caps + (n - i) < d:
+    def rec(i: int, caps: int):
+        if caps > d or caps + (n - i) < d:
             return
         if i == n:
-            out.append((caps, tuple(b)))
+            yield tuple(b)
             return
         v = p[i]
         while True:
             b[i] = v
-            rec(i + 1, caps + (1 if v == g[i] else 0))
+            yield from rec(i + 1, caps + (1 if v == g[i] else 0))
             if v == g[i] or not slice_ok(i, v + 1):
                 break
             v += 1
         b[i] = p[i]
 
-    rec(0, 0)
-    out.sort(key=lambda t: (-t[0], t[1]))
-    return out
+    return rec(0, 0)
 
 
 def _box_mask(p: tuple, b: tuple, idx: dict) -> int:
@@ -167,22 +189,46 @@ def _box_mask(p: tuple, b: tuple, idx: dict) -> int:
 def _search_partition(points: tuple, g: tuple, d: int, deadline) -> list | None:
     """Find an interval partition with all dimensions >= d, or None.
 
-    Iterative backtracking; returns [(lower, upper, dim), ...] on success.
+    Returns [(lower, upper), ...] sorted by lower endpoint on success.
+    """
+    idx = {p: i for i, p in enumerate(points)}
+    dims = [_dimension(p, g) for p in points]
+    low = [k for k, r in enumerate(dims) if r <= d]
+    # the points of dimension at most d split into intervals with tops of
+    # dimension d, each adding a polynomial with no negative coefficient
+    groups = Counter((sum(points[k]), dims[k]) for k in low)
+    residual = _series(groups, d, max((s for s, _ in groups), default=0) + d + 1)
+    if min(residual) < 0:
+        return None
+    # any point coverable by a depth-d partition has a top of dimension d
+    # above it, so one pass over the full box rules most depths out
+    full = (1 << len(points)) - 1
+    for j, k in enumerate(low):
+        if deadline is not None and j & 63 == 0 and time.monotonic() > deadline:
+            raise ResourceLimitError("stanley depth search timed out")
+        if next(_candidates(points[k], g, d, idx, full), None) is None:
+            return None
+    unc = sum(1 << k for k in low)
+    chosen = _backtrack(points, g, d, idx, unc, residual, deadline)
+    if chosen is None:
+        return None
+    upset = [p for p, r in zip(points, dims) if r > d]
+    return sorted(chosen + _cover_upset(upset, g))
+
+
+def _backtrack(points: tuple, g: tuple, d: int, idx: dict, unc: int,
+               residual: list, deadline) -> list | None:
+    """Split the points of the bitmask unc into intervals with tops of dimension d.
+
+    Iterative backtracking; returns [(lower, upper), ...] or None.  residual
+    holds (1-t)^d times the Hilbert series of the uncovered points.  Every
+    interval left to choose adds a polynomial with no negative coefficient,
+    so a choice that leaves one in residual is not followed.
     """
     N = len(points)
-    idx = {p: i for i, p in enumerate(points)}
-    full = (1 << N) - 1
-    # any point coverable by a dim >= d interval has one with itself as the
-    # lower endpoint, so one pass over the full box rules most depths out
-    for k, p in enumerate(points):
-        if deadline is not None and k & 63 == 0 and time.monotonic() > deadline:
-            raise ResourceLimitError("stanley depth search timed out")
-        if not _candidates(p, g, d, idx, full):
-            return None
-    unc = full
     chosen = []
     failed = set()
-    # frame: [candidates, next position, point index, applied mask]
+    # frame: [tops, point index, applied mask, box series]
     frames = []
     ticks = 0
 
@@ -195,55 +241,108 @@ def _search_partition(points: tuple, g: tuple, d: int, deadline) -> list | None:
     s0 = least_uncovered(0)
     if s0 == N:
         return []
-    frames.append([_candidates(points[s0], g, d, idx, unc), 0, s0, 0])
+    frames.append([_candidates(points[s0], g, d, idx, unc), s0, 0, ()])
 
     while frames:
         ticks += 1
         if deadline is not None and ticks & 255 == 0 and time.monotonic() > deadline:
             raise ResourceLimitError("stanley depth search timed out")
         frame = frames[-1]
-        cands, pos, s, mask = frame
+        tops, s, mask, series = frame
+        p = points[s]
         if mask:
             unc |= mask
             chosen.pop()
-            frame[3] = 0
-        if pos == len(cands):
+            for k, c in enumerate(series, sum(p)):
+                residual[k] += c
+            frame[2] = 0
+        top = next(tops, None)
+        if top is None:
             failed.add(unc)
             frames.pop()
             continue
-        dim, top = cands[pos]
-        frame[1] = pos + 1
-        p = points[s]
-        boxmask = _box_mask(p, top, idx)
+        frame[2] = boxmask = _box_mask(p, top, idx)
         unc &= ~boxmask
-        frame[3] = boxmask
-        chosen.append((p, top, dim))
+        frame[3] = series = _box_series(p, top, g)
+        for k, c in enumerate(series, sum(p)):
+            residual[k] -= c
+        chosen.append((p, top))
         s2 = least_uncovered(s + 1)
         if s2 == N:
-            return list(chosen)
-        if unc not in failed:
-            frames.append([_candidates(points[s2], g, d, idx, unc), 0, s2, 0])
+            return chosen
+        if min(residual) >= 0 and unc not in failed:
+            frames.append([_candidates(points[s2], g, d, idx, unc), s2, 0, ()])
     return None
 
 
-def _counting_bound(points: tuple, g: tuple) -> int:
-    """Largest d <= n with beta_k^d >= 0 for all k <= d; n unless g is all ones.
+def _cover_upset(upset: list, g: tuple) -> list:
+    """Cover an up-set of the poset greedily, in lex order.
 
-    alpha_j counts the points of degree j.  If a depth-d partition exists,
-    beta_k^d = sum_j (-1)^(k-j) C(d-j, k-j) alpha_j counts the intervals
-    starting in degree k when the points of degree <= d are split into
-    intervals ending in degree d.
+    Each uncovered point starts an interval whose top is raised to the cap,
+    one coordinate at a time, while the box stays among the uncovered points
+    of the up-set.  The up-set holds every point above its members, so its
+    dimension bound holds for every box point too.
     """
-    n = len(g)
-    if any(cap != 1 for cap in g):
-        return n
-    alpha = [0] * (n + 1)
-    for p in points:
-        alpha[sum(p)] += 1
-    for d in range(n, 0, -1):
-        if all(sum((-1) ** (k - j) * comb(d - j, k - j) * alpha[j]
-                   for j in range(k + 1)) >= 0 for k in range(d + 1)):
-            return d
+    left = set(upset)
+    out = []
+    for p in upset:
+        if p not in left:
+            continue
+        top = list(p)
+        for i, cap in enumerate(g):
+            if top[i] == cap:
+                continue
+            ranges = [range(a, b + 1) for a, b in zip(p, top)]
+            ranges[i] = range(top[i] + 1, cap + 1)
+            if all(c in left for c in itertools.product(*ranges)):
+                top[i] = cap
+        top = tuple(top)
+        left.difference_update(_box_points(p, top))
+        out.append((p, top))
+    return out
+
+
+def _series(groups: Counter, r: int, length: int) -> list:
+    """Coefficients of t^0 .. t^(length-1) in (1-t)^r H(t).
+
+    H(t) = sum of t^|a| (1-t)^-rho(a) over points a, given as a count of
+    points per (|a|, rho(a)).
+    """
+    coef = [0] * length
+    for (s, rho), c in groups.items():
+        k = r - rho
+        for j in range(length - s):
+            coef[s + j] += c * ((-1) ** j * comb(k, j) if k >= 0
+                                else comb(j - k - 1, j))
+    return coef
+
+
+def _box_series(p: tuple, top: tuple, g: tuple) -> list:
+    """(1-t)^d H(t) / t^|p| for the box [p, top] with top of dimension d.
+
+    A capped coordinate of the top contributes t^p_i / (1-t) and any other
+    t^p_i + ... + t^top_i, so this is the product of 1 + ... + t^(top_i - p_i)
+    over the uncapped coordinates.
+    """
+    coef = [1]
+    for a, b, cap in zip(p, top, g):
+        if a < b < cap:
+            w = b - a
+            coef = [sum(coef[max(0, k - w):k + 1]) for k in range(len(coef) + w)]
+    return coef
+
+
+def _hilbert_bound(points: tuple, g: tuple) -> int:
+    """Hilbert depth: the largest r <= n with (1-t)^r H(t) nonnegative.
+
+    A point with rho(a) >= r adds a series with no negative coefficient, so
+    only degrees up to max|a| + r need checking.
+    """
+    groups = Counter((sum(p), _dimension(p, g)) for p in points)
+    top = max(s for s, _ in groups)
+    for r in range(len(g), 0, -1):
+        if min(_series(groups, r, top + r + 1)) >= 0:
+            return r
     return 0
 
 
@@ -273,14 +372,12 @@ def sdepth_module(I: MonomialIdeal, J: MonomialIdeal, *,
         raise ResourceLimitError(
             f"poset has {len(points)} points, over the cap of {cap_points}")
 
-    witness = None
-    for d in range(_counting_bound(points, g), 0, -1):
+    # d = 0 always succeeds: every point of dimension 0 is its own top
+    for d in range(_hilbert_bound(points, g), -1, -1):
         witness = _search_partition(points, g, d, deadline)
         if witness is not None:
             break
-    if witness is None:
-        witness = _search_partition(points, g, 0, deadline)
-    intervals = tuple(Interval(p, b, dim) for p, b, dim in witness)
+    intervals = tuple(Interval(p, b, _dimension(b, g)) for p, b in witness)
     value = min(iv.dim for iv in intervals)
     result = StanleyDecomposition(g=g, value=value, intervals=intervals)
     result.validate(points)

@@ -7,6 +7,7 @@ interval partitions outright.  Slow on purpose; keep the inputs small.
 """
 
 import itertools
+import math
 
 
 def member(m, gens):
@@ -92,3 +93,15 @@ def naive_sdepth(points, g):
         if partition_exists(points, g, d):
             best = d
     return best
+
+
+def counting_bound(points, n):
+    """Keller-Young bound for a squarefree poset: the largest d <= n such
+    that beta_k^d = sum_j (-1)^(k-j) C(d-j, k-j) alpha_j >= 0 for all k <= d,
+    alpha_j counting the points of degree j."""
+    alpha = [sum(1 for p in points if sum(p) == j) for j in range(n + 1)]
+    for d in range(n, 0, -1):
+        if all(sum((-1) ** (k - j) * math.comb(d - j, k - j) * alpha[j]
+                   for j in range(k + 1)) >= 0 for k in range(d + 1)):
+            return d
+    return 0

@@ -7,8 +7,10 @@ import pathlib
 
 import pytest
 
-from stanley import cli, clear_cache
+from stanley import (MonomialIdeal, RingCtx, cap_vector, characteristic_points,
+                     cli, clear_cache, parse_ideal)
 from stanley.bound import check_size_inequality
+from stanley.sdepth import _hilbert_bound
 
 EXAMPLE = "x1^2, x2*x3"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -260,3 +262,26 @@ def test_sdepth_reports_match_golden(module, tmp_path, capsys):
     want = GOLDEN / f"sdepth_veronese_{module}"
     assert capsys.readouterr().out == want.with_suffix(".out").read_text()
     assert reports == want.with_suffix(".jsons").read_bytes()
+
+
+HARD_IDEALS = [
+    (veronese_text(7, 1), 7, 4),
+    (veronese_text(7, 3), 7, 4),
+    (", ".join(f"x{i + 1}^3*x{(i + 1) % 5 + 1}^2" for i in range(5)), 5, 3),
+    (", ".join(f"x{i + 1}^2" for i in range(5)), 5, 3),
+    (", ".join(f"x{i + 1}^2*x{i + 2}" for i in range(5)), 6, 4),
+]
+
+
+# ideal modules of 99 to 451 points, each settled at its Hilbert bound
+@pytest.mark.parametrize("text, n, value", HARD_IDEALS)
+def test_sdepth_hard_ideal_modules(text, n, value, tmp_path, capsys):
+    clear_cache()
+    out = tmp_path / "report.json"
+    assert run("sdepth", text, "--ring", str(n), "--module", "ideal",
+               "--sdepth-timeout-ms", "5000", "--json", str(out)) == 0
+    data = json.loads(out.read_text())
+    I = parse_ideal(text, RingCtx(n))
+    Z = MonomialIdeal.zero(I.ring)
+    g = cap_vector(Z, I)
+    assert data["sdepth"] == value == _hilbert_bound(characteristic_points(Z, I, g), g)

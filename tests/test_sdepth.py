@@ -11,7 +11,7 @@ from stanley import (DomainError, MonomialIdeal, ResourceLimitError, RingCtx,
                      RingMismatchError, cap_vector, characteristic_points,
                      clear_cache, parse_ideal, sdepth_ideal, sdepth_module,
                      sdepth_quotient)
-from stanley.sdepth import _counting_bound, _search_partition
+from stanley.sdepth import _dimension, _hilbert_bound, _search_partition
 
 import oracles
 from conftest import ideal_pairs, ideals
@@ -152,11 +152,16 @@ def test_cache_round_trip():
 
 
 @st.composite
-def squarefree_pairs(draw, n_max=5, gens_max=4):
-    """(I, J) squarefree with I inside J: an ideal, a quotient or a general pair."""
+def module_pairs(draw, n_max=4, gens_max=3, exp_max=3):
+    """(I, J) with I inside J: an ideal, a quotient or a general pair.
+
+    The exponent bound is drawn too, so about a third of the pairs are
+    squarefree.
+    """
     n = draw(st.integers(1, n_max))
     ring = RingCtx(n)
-    gens = st.lists(st.tuples(*[st.integers(0, 1)] * n).filter(any),
+    top = draw(st.integers(1, exp_max))
+    gens = st.lists(st.tuples(*[st.integers(0, top)] * n).filter(any),
                     min_size=1, max_size=gens_max)
     A = MonomialIdeal(ring, draw(gens))
     kind = draw(st.sampled_from(["ideal", "quotient", "general"]))
@@ -168,19 +173,37 @@ def squarefree_pairs(draw, n_max=5, gens_max=4):
     return A.intersect(J), J
 
 
-@given(squarefree_pairs())
-def test_counting_bound_is_sound(pair):
+@given(module_pairs())
+def test_hilbert_bound_is_sound(pair):
     I, J = pair
     assume(I != J)
     g = cap_vector(I, J)
-    assert set(g) == {1}
     pts = characteristic_points(I, J, g)
-    u = _counting_bound(pts, g)
+    u = _hilbert_bound(pts, g)
     if len(pts) <= 12:
         assert u >= oracles.naive_sdepth(pts, g)
+    if set(g) == {1}:
+        assert u == oracles.counting_bound(pts, len(g))
     if u < len(g):
         # the search confirms every depth the bound rules out
         assert _search_partition(pts, g, u + 1, None) is None
+
+
+@given(module_pairs())
+def test_witness_shape(pair):
+    I, J = pair
+    assume(I != J)
+    clear_cache()
+    result = sdepth_module(I, J)
+    for iv in result.intervals:
+        # tops of dimension exactly the value, or a block of the up-set
+        assert iv.dim == result.value or _dimension(iv.lower, result.g) > result.value
+    lowers = [iv.lower for iv in result.intervals]
+    assert lowers == sorted(lowers)
+    clear_cache()
+    again = sdepth_module(I, J)
+    assert again is not result
+    assert again == result
 
 
 def squarefree_ideal(n, supports):
@@ -188,7 +211,7 @@ def squarefree_ideal(n, supports):
                                       for c in supports])
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_squarefree_veronese_closed_forms(n):
     # Keller, Shen, Streib and Young for the ideal; d = 1 is the maximal
     # ideal, of depth ceil(n/2) (Biro et al.)
@@ -198,7 +221,7 @@ def test_squarefree_veronese_closed_forms(n):
         assert sdepth_quotient(I) == d - 1
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_complete_intersection_closed_forms(n):
     # m monomials on disjoint supports (Shen): singletons x1..x_{m-1} and
     # one last block ending at x_used
