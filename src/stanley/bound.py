@@ -8,6 +8,20 @@ subset of components together with a bounded multiplier monomial.  Each
 summand contributes a Stanley depth term computed over smaller rings, and
 the minimum over all contributions bounds sdepth(S/I) from below.
 
+Components stay pure powers, lists of (variable, exponent) pairs, and an
+ideal is built only for a depth search.  Every quotient part and slice ideal
+part is an intersection of components cut to a subring K[target], so it is
+memoized on a key computed from the pairs alone: each factor's pairs on
+target (an empty factor is the zero ideal), with the variables no factor
+uses stripped and the rest renumbered in increasing order; the key is the
+kind of part, the number of variables kept and the frozenset of renumbered
+factors.  Stripping is exact: sdepth(M (x) K[x]) = sdepth(M) + 1 for a
+module M over the other variables (Herzog, Vladoiu and Zheng, "How to
+compute the Stanley depth of a monomial ideal", Lemma 3.6).  Within a
+family, the components outside the subset that hold a multiplier w are
+found as a bitmask, the OR over the touched variables i of the components
+with a power of x_i dividing w, and the slice depth is looked up per mask.
+
 The same decomposition data drives a sufficient condition on the ideal: if
 whenever the support of one component is covered by the supports of some of
 the others the component is already contained in their sum, then the lower
@@ -17,13 +31,15 @@ bound is at least size(I), hence so is sdepth(S/I).
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 
 from .core import (Monomial, MonomialIdeal, RingCtx, monomials_up_to_degree,
                    mul, restrict_exponents, total_degree)
 from .decomposition import Decomposition, decompose
 from .errors import DomainError, ResourceLimitError
-from .sdepth import DEFAULT_POINT_CAP, sdepth_ideal, sdepth_quotient
+from .sdepth import (_PART_CACHE, DEFAULT_POINT_CAP, sdepth_ideal,
+                     sdepth_quotient)
 from .size import SizeReport, size
 
 # subset enumeration is exponential in the component count
@@ -95,19 +111,17 @@ def _touched(split: PivotSplit, subset: tuple) -> frozenset:
 
 def _family(split: PivotSplit, subset: tuple) -> SummandFamily:
     comps = split.decomposition.components
-    touched = _touched(split, subset)
-    order = sorted(touched)
-    bounds = [min(comps[j].exponent_of(i) for j in subset
-                  if i in comps[j].support) for i in order]
+    # the least exponent of each touched variable among the subset's components
+    least = {}
+    for j in subset:
+        for i, e in comps[j].powers:
+            if i in split.pivot_vars and e < least.get(i, e + 1):
+                least[i] = e
+    touched = frozenset(least)
     n = split.decomposition.ring.n
     # product walks the box in lexicographic order, the order of the tuples
-    mults = []
-    for combo in itertools.product(*(range(b) for b in bounds)):
-        w = [0] * n
-        for i, e in zip(order, combo):
-            w[i] = e
-        mults.append(tuple(w))
-    return SummandFamily(subset, touched, split.pivot_vars - touched, tuple(mults))
+    mults = tuple(itertools.product(*(range(least.get(i, 1)) for i in range(n))))
+    return SummandFamily(subset, touched, split.pivot_vars - touched, mults)
 
 
 def enumerate_families(split: PivotSplit) -> tuple:
@@ -237,24 +251,44 @@ class BoundReport:
         return self.per_pivot[self.best_pivot]
 
 
-def _meet(order: list, factors) -> MonomialIdeal:
-    """Intersection over the dense ring K[order] of pure-power ideals.
+def _meet(n: int, factors) -> MonomialIdeal:
+    """Intersection over K[x_0, ..., x_{n-1}] of pure-power ideals.
 
-    Each factor lists (variable, exponent) pairs in ambient indices and
-    stands for the ideal of S those powers generate.  Its intersection with
-    K[order] keeps the pairs on order, so a factor without such a pair makes
-    the result zero.  No factors at all give the unit ideal.
+    Each factor lists (variable, exponent) pairs of the ring; an empty
+    factor is the zero ideal.  No factors at all give the unit ideal.
     """
-    pos = {v: k for k, v in enumerate(order)}
-    ring = RingCtx(len(order))
-    out = None
+    ring = RingCtx(n)
+    out = MonomialIdeal.unit(ring)
     for pairs in factors:
-        Q = MonomialIdeal(ring, [ring.variable(pos[i], e)
-                                 for i, e in pairs if i in pos])
-        if Q.is_zero:
-            return Q
-        out = Q if out is None else out.intersect(Q)
-    return MonomialIdeal.unit(ring) if out is None else out
+        out = out.intersect(MonomialIdeal(ring, [ring.variable(i, e)
+                                                 for i, e in pairs]))
+    return out
+
+
+def _part(kind: str, target: frozenset, factors, cap_points: int,
+          deadline: float | None) -> tuple:
+    """Stanley depth of a pure-power part over K[target], memoized.
+
+    The part is the intersection of the factors, each a component's
+    (variable, exponent) pairs, cut to K[target]: the quotient module
+    K[target]/(meet) for kind "quotient", the ideal for kind "ideal".
+    Returns (depth over the used variables, number of stripped variables);
+    their sum is the depth over K[target].
+    """
+    restricted = [tuple(p for p in pairs if p[0] in target) for pairs in factors]
+    if not all(restricted):
+        restricted = [()]   # the zero ideal uses no variable
+    used = sorted({i for pairs in restricted for i, _ in pairs})
+    pos = {v: k for k, v in enumerate(used)}
+    key = (kind, len(used), frozenset(tuple((pos[i], e) for i, e in pairs)
+                                      for pairs in restricted))
+    value = _PART_CACHE.get(key)
+    if value is None:
+        depth = sdepth_quotient if kind == "quotient" else sdepth_ideal
+        value = depth(_meet(len(used), key[2]), cap_points=cap_points,
+                      deadline=deadline)
+        _PART_CACHE[key] = value
+    return value, len(target) - len(used)
 
 
 def _pivot_bound(D: Decomposition, pivot: int, cap_points: int,
@@ -262,28 +296,45 @@ def _pivot_bound(D: Decomposition, pivot: int, cap_points: int,
     split = build_split(D, pivot)
     comps = D.components
     base = D.ring.n - split.r
-    free = sorted(split.free_vars)
     candidates = [base]
     terms = []
     skipped = []
     for fam in enumerate_families(split):
+        # the memo can answer a whole family, so read the deadline here too
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceLimitError("recursive bound timed out")
         # the subset's components meet K[free]: proper, so never the unit ideal
-        quot = _meet(free, (comps[j].powers for j in fam.subset))
-        quotient_part = sdepth_quotient(quot, cap_points=cap_points,
-                                        deadline=deadline)
-        untouched = sorted(fam.untouched_vars)
+        quotient_part = sum(_part("quotient", split.free_vars,
+                                  (comps[j].powers for j in fam.subset),
+                                  cap_points, deadline))
+        # (Q_j : w) over j outside the subset, meet K[untouched].  w lives on
+        # the touched variables, so on the untouched ones Q_j : w keeps the
+        # powers of Q_j, or is the unit ideal when Q_j holds w.  Bit k of
+        # holds[i][x] marks outside[k] as holding every w with w_i = x
+        outside = [Q for j, Q in enumerate(comps) if j not in fam.subset]
+        # the last multiplier is the box's corner, each exponent at its largest
+        holds = {i: [0] * (fam.multipliers[-1][i] + 1) for i in fam.touched_vars}
+        vanish = 0   # outside components with no power on the untouched variables
+        for k, Q in enumerate(outside):
+            for i, e in Q.powers:
+                for x in range(e, len(holds.get(i, ()))):
+                    holds[i][x] |= 1 << k
+            if not Q.support & fam.untouched_vars:
+                vanish |= 1 << k
+        slices = {}
         for w in fam.multipliers:
-            # (Q_j : w) over j outside the subset, meet K[untouched].  w lives
-            # on the touched variables, so on the untouched ones Q_j : w keeps
-            # the powers of Q_j, or is the unit ideal when Q_j holds w
-            outside = (Q.powers for j, Q in enumerate(comps)
-                       if j not in fam.subset and not Q.contains(w))
-            slice_ideal = _meet(untouched, outside)
-            if slice_ideal.is_zero:
+            mask = 0
+            for i, h in holds.items():
+                mask |= h[w[i]]
+            if mask not in slices:
+                slices[mask] = None if vanish & ~mask else sum(_part(
+                    "ideal", fam.untouched_vars,
+                    (Q.powers for k, Q in enumerate(outside)
+                     if not (mask >> k) & 1), cap_points, deadline))
+            ideal_part = slices[mask]
+            if ideal_part is None:
                 skipped.append((fam.subset, w, "slice ideal is zero"))
                 continue
-            ideal_part = sdepth_ideal(slice_ideal, cap_points=cap_points,
-                                      deadline=deadline)
             term = BoundTerm(fam.subset, w, ideal_part, quotient_part,
                              degenerate=not fam.untouched_vars)
             terms.append(term)

@@ -5,12 +5,15 @@ variables.  Every proper nonzero monomial ideal is the intersection of a
 unique irredundant finite set of irreducible ones.  The algorithm splits a
 mixed generator g = g1 * g2 into coprime halves, using the identity
 I + (g1 g2) = (I + (g1)) intersect (I + (g2)), until every branch is
-generated by pure powers, then prunes redundant components.
+generated by pure powers, then prunes redundant components.  Pruning needs
+no ideal arithmetic: component Q_k = (x_i^a_i) is redundant iff some other
+component misses its corner, the monomial with exponent a_i - 1 on each i in
+the support of Q_k and the largest exponent plus one elsewhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Monomial, MonomialIdeal, RingCtx, support, total_degree
 from .errors import DomainError
@@ -21,20 +24,16 @@ class IrreducibleComponent:
     """Pure-power component, stored sparsely as ((var, exponent), ...)."""
 
     powers: tuple
+    support: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "powers", tuple(sorted(self.powers)))
-        seen = set()
-        for i, e in self.powers:
+        object.__setattr__(self, "support", frozenset(i for i, _ in self.powers))
+        for _, e in self.powers:
             if e < 1:
                 raise DomainError("component exponents must be positive")
-            if i in seen:
-                raise DomainError("component repeats a variable")
-            seen.add(i)
-
-    @property
-    def support(self) -> frozenset:
-        return frozenset(i for i, _ in self.powers)
+        if len(self.support) != len(self.powers):
+            raise DomainError("component repeats a variable")
 
     def exponent_of(self, var: int) -> int:
         """Exponent of the pure power on var, 0 if var is absent."""
@@ -128,22 +127,25 @@ def decompose(I: MonomialIdeal) -> Decomposition:
 def prune_irredundant(ring: RingCtx, components) -> Decomposition:
     """Drop every component containing the intersection of the others.
 
-    The result does not depend on removal order: the irredundant
-    presentation by irreducible ideals is unique.
+    Q_k = (x_i^a_i) misses exactly the monomials with exponent below a_i on
+    each i of its support.  No generator of the intersection of the others
+    has an exponent above the largest one, so any such generator outside Q_k
+    divides the corner c with c_i = a_i - 1 on the support and c_i = largest
+    exponent + 1 elsewhere.  So Q_k contains the intersection of the others
+    iff that intersection misses c, that is, iff some other component misses
+    c.  An irreducible component containing an intersection contains one of
+    its factors, so the kept components are the minimal ones, whatever the
+    order of removal: the irredundant presentation is unique.
     """
     comps = sorted(set(components), key=lambda c: c.sort_key())
     if not comps:
         raise DomainError("no components to prune")
-    ideals = [c.as_ideal(ring) for c in comps]
-    k = 0
-    while k < len(comps) and len(comps) > 1:
-        rest = None
-        for j, J in enumerate(ideals):
-            if j == k:
-                continue
-            rest = J if rest is None else rest.intersect(J)
-        if ideals[k].includes(rest):
-            del comps[k], ideals[k]
-        else:
-            k += 1
-    return Decomposition(ring, tuple(comps))
+    top = 1 + max(e for c in comps for _, e in c.powers)
+    kept = []
+    for k, Q in enumerate(comps):
+        corner = [top] * ring.n
+        for i, a in Q.powers:
+            corner[i] = a - 1
+        if all(R.contains(corner) for j, R in enumerate(comps) if j != k):
+            kept.append(Q)
+    return Decomposition(ring, tuple(kept))

@@ -61,10 +61,13 @@ DEFAULT_POINT_CAP = 20000
 
 # successful searches keyed by (n, gens of I, gens of J)
 _CACHE: dict = {}
+# depths of the recursive bound's pure-power parts, keyed in bound._part
+_PART_CACHE: dict = {}
 
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _PART_CACHE.clear()
 
 
 @dataclass(frozen=True)

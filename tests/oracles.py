@@ -3,7 +3,9 @@
 Everything here is deliberately naive and independent of the package
 internals: membership is tested generator by generator, ideals are compared
 through explicit monomial enumeration, and the depth search enumerates
-interval partitions outright.  Slow on purpose; keep the inputs small.
+interval partitions outright.  The one exception, slow_pivot_bound, uses
+only the public ideal arithmetic and depth search of the package, with no
+memo.  Slow on purpose; keep the inputs small.
 """
 
 import itertools
@@ -105,3 +107,60 @@ def counting_bound(points, n):
                    for j in range(k + 1)) >= 0 for k in range(d + 1)):
             return d
     return 0
+
+
+def pure_power_gens(powers, n):
+    """Generators of the ideal (x_i^e for (i, e) in powers) in n variables."""
+    return [tuple(e if j == i else 0 for j in range(n)) for i, e in powers]
+
+
+def meet_gens(gen_lists):
+    """Generators of an intersection: the lcms of one generator from each."""
+    return sorted({tuple(max(col) for col in zip(*pick))
+                   for pick in itertools.product(*gen_lists)})
+
+
+# ---------------------------------------------------------------------------
+# the recursive bound, the slow way
+# ---------------------------------------------------------------------------
+
+def slow_pivot_bound(D, pivot):
+    """(value, [(subset, w, ideal part, quotient part)], skipped) for a pivot.
+
+    Every summand ideal is built in the ambient ring with intersect, colon
+    and restrict, and every depth is searched from an empty cache.
+    """
+    from stanley import clear_cache, sdepth_ideal, sdepth_quotient
+
+    n, s = D.ring.n, D.s
+    powers = [c.powers for c in D.components]
+    ideals = [c.as_ideal(D.ring) for c in D.components]
+    pivot_vars = {i for i, _ in powers[pivot]}
+    free = set(range(n)) - pivot_vars
+    terms, skipped = [], []
+    for t in range(1, s):
+        for subset in itertools.combinations(range(s), t):
+            least = {}
+            for j in subset:
+                for i, e in powers[j]:
+                    if i in pivot_vars:
+                        least[i] = min(least.get(i, e), e)
+            untouched = pivot_vars - set(least)
+            quot = ideals[subset[0]]
+            for j in subset[1:]:
+                quot = quot.intersect(ideals[j])
+            clear_cache()
+            quotient_part = sdepth_quotient(quot.restrict(free))
+            for w in itertools.product(*(range(least.get(i, 1)) for i in range(n))):
+                outside = [ideals[j].colon(w) for j in range(s) if j not in subset]
+                J = outside[0]
+                for Q in outside[1:]:
+                    J = J.intersect(Q)
+                J = J.restrict(untouched)
+                if J.is_zero:
+                    skipped.append((subset, w, "slice ideal is zero"))
+                    continue
+                clear_cache()
+                terms.append((subset, w, sdepth_ideal(J), quotient_part))
+    value = min([n - len(pivot_vars)] + [a + b for _, _, a, b in terms])
+    return value, terms, skipped

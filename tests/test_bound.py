@@ -1,6 +1,7 @@
 """The pivot-split lower bound, the classifier, and the size inequality."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -8,10 +9,12 @@ from hypothesis import given
 from stanley import (CorpusSpec, Decomposition, IrreducibleComponent,
                      MonomialIdeal, ResourceLimitError, RingCtx, SUBSET_CAP,
                      build_split, check_size_inequality, classify_monomial,
-                     decompose, enumerate_families, generate_corpus,
-                     hypothesis_check, parse_ideal, sdepth_lower_bound,
-                     sdepth_quotient, verify_direct_sum)
+                     clear_cache, decompose, enumerate_families,
+                     generate_corpus, hypothesis_check, parse_ideal,
+                     sdepth_lower_bound, sdepth_quotient, verify_direct_sum)
+from stanley.sdepth import _PART_CACHE
 
+import oracles
 from conftest import ideals
 
 R3 = RingCtx(3)
@@ -191,3 +194,37 @@ def test_corpus_size_inequality_spot():
                       n_range=(2, 4), gens_range=(2, 4), max_exponent=1)
     for I in generate_corpus(spec):
         assert check_size_inequality(I).ok
+
+
+@given(ideals(n_max=4, gens_max=3, exp_max=3))
+def test_bound_terms_match_slow_recomputation(I):
+    # every term of the memoized bound, recomputed from ambient-ring ideals
+    D = decompose(I)
+    clear_cache()
+    rep = sdepth_lower_bound(I)
+    for pb in rep.per_pivot:
+        value, terms, skipped = oracles.slow_pivot_bound(D, pb.pivot)
+        got = [(t.subset, t.multiplier, t.ideal_part, t.quotient_part)
+               for t in pb.terms]
+        assert got == terms
+        assert list(pb.skipped) == skipped
+        assert pb.value == value
+
+
+def test_expired_deadline_stops_a_memoized_bound():
+    # the second call is answered from the memo without a depth search, so
+    # only the bound's own deadline check can stop it
+    I = parse_ideal("x1^3*x2^2, x2^3*x3^2, x3^3*x1^2", R3)
+    clear_cache()
+    sdepth_lower_bound(I)
+    with pytest.raises(ResourceLimitError):
+        sdepth_lower_bound(I, deadline=time.monotonic() - 1)
+
+
+def test_clear_cache_empties_the_bound_memo():
+    clear_cache()
+    assert not _PART_CACHE
+    sdepth_lower_bound(parse_ideal(EXAMPLE, R3))
+    assert _PART_CACHE
+    clear_cache()
+    assert not _PART_CACHE

@@ -67,10 +67,11 @@ def test_resource_limit_exit(capsys):
 
 
 def test_timeout_bounds_whole_command(capsys):
-    # the bound runs hundreds of depth searches of a few ms each, so only a
-    # deadline shared by the whole command stops it within 50 ms
+    # the bound runs hundreds of depth searches of a few ms each, over half
+    # a second in all, so only a deadline shared by the whole command stops
+    # it within 50 ms
     clear_cache()
-    cycle = "x1^3*x2^2, x2^3*x3^2, x3^3*x4^2, x4^3*x1^2"
+    cycle = "x1^3*x2^2, x2^3*x3^2, x3^3*x4^2, x4^3*x5^2, x5^3*x1^2"
     assert run("check", cycle, "--sdepth-timeout-ms", "50") == cli.RESOURCE_EXIT
     assert "timed out" in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ from stanley import (Decomposition, DomainError, IrreducibleComponent,
                      MonomialIdeal, RingCtx, decompose, is_irreducible,
                      parse_ideal, prune_irredundant)
 
+import oracles
 from conftest import ideals
 
 R3 = RingCtx(3)
@@ -123,3 +124,39 @@ def test_prune_drops_redundant():
              IrreducibleComponent(((0, 2), (1, 1), (2, 1)))]
     pruned = prune_irredundant(R3, comps)
     assert [c.powers for c in pruned.components] == [((0, 1),), ((0, 2), (1, 1))]
+
+
+@st.composite
+def component_lists(draw, n_max=4, exp_max=3):
+    """(n, components) with redundant components added on purpose.
+
+    A redundant copy of a drawn component Q lowers some of Q's exponents or
+    adds further variables, so it contains Q.
+    """
+    n = draw(st.integers(1, n_max))
+    power = st.tuples(st.integers(0, n - 1), st.integers(1, exp_max))
+    comps = [IrreducibleComponent(tuple(dict(draw(st.lists(power, min_size=1))).items()))
+             for _ in range(draw(st.integers(1, 4)))]
+    for Q in draw(st.lists(st.sampled_from(comps), max_size=3)):
+        wider = dict(Q.powers)
+        for i, e in draw(st.lists(power, max_size=2)):
+            wider[i] = min(wider.get(i, e), e)
+        comps.append(IrreducibleComponent(tuple(wider.items())))
+    return n, draw(st.permutations(comps))
+
+
+@given(component_lists())
+def test_prune_matches_box_membership(case):
+    # Q_k is redundant iff meeting it into the others changes no monomial of
+    # the box that holds every generator of the intersections
+    n, comps = case
+    unique = sorted(set(comps), key=lambda c: c.sort_key())
+    caps = (1 + max(e for c in unique for _, e in c.powers),) * n
+    gens = [oracles.pure_power_gens(c.powers, n) for c in unique]
+    want = []
+    for k, Q in enumerate(unique):
+        others = gens[:k] + gens[k + 1:]
+        if not others or not oracles.same_members(
+                oracles.meet_gens(others), oracles.meet_gens(gens), caps):
+            want.append(Q)
+    assert prune_irredundant(RingCtx(n), comps).components == tuple(want)

@@ -206,6 +206,27 @@ def test_witness_shape(pair):
     assert again == result
 
 
+@given(module_pairs(n_max=3), st.data())
+def test_free_variable_adds_one(pair, data):
+    # sdepth(J/I (x) K[x]) = sdepth(J/I) + 1 for a variable x no generator
+    # uses (Herzog, Vladoiu and Zheng); the recursive bound strips such
+    # variables before it searches
+    I, J = pair
+    assume(I != J)
+    n = I.ring.n
+    at = data.draw(st.integers(0, n))
+
+    def widen(A):
+        return MonomialIdeal(RingCtx(n + 1), [g[:at] + (0,) + g[at:] for g in A.gens])
+
+    g = cap_vector(I, J)
+    pts = characteristic_points(I, J, g)
+    assume(len(pts) <= 12)
+    value = oracles.naive_sdepth(pts, g)
+    assert sdepth_module(I, J).value == value
+    assert sdepth_module(widen(I), widen(J)).value == value + 1
+
+
 def squarefree_ideal(n, supports):
     return MonomialIdeal(RingCtx(n), [tuple(1 if i in c else 0 for i in range(n))
                                       for c in supports])
