@@ -9,6 +9,7 @@ in output are 1-based.  Reports are deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -339,7 +340,14 @@ def _add_sdepth_args(sub) -> None:
                      help="time budget for all depth searches of the command")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every verb, built on the first call and shared after.
+
+    parse_args leaves the parser unchanged, and each verb looks up the
+    library names it calls when it runs, so one parser serves every call
+    of main in a process.
+    """
     parser = _Parser(prog="stanley",
                      description="Monomial ideal decompositions, size, "
                                  "Stanley depth, and lower bounds.")

@@ -137,9 +137,34 @@ def characteristic_points(I: MonomialIdeal, J: MonomialIdeal, g: tuple) -> tuple
             raise DomainError("cap vector must dominate every generator")
     if any(cap < 1 for cap in g):
         raise DomainError("cap vector entries must be at least 1")
+    # the box in lex order is mixed radix g + 1: lowering a_i by one moves
+    # back strides[i] places, to a point the walk has already decided
+    strides = [1] * n
+    for i in range(n - 1, 0, -1):
+        strides[i - 1] = strides[i] * (g[i] + 1)
+    size = prod(cap + 1 for cap in g)
+    inI, inJ = bytearray(size), bytearray(size)
+    for flags, ideal in ((inI, I), (inJ, J)):
+        for h in ideal.gens:
+            flags[sum(e * s for e, s in zip(h, strides))] = 1
+    steps = tuple(enumerate(strides))
     out = []
-    for a in itertools.product(*[range(cap + 1) for cap in g]):
-        if J.contains(a) and not I.contains(a):
+    for k, a in enumerate(itertools.product(*[range(cap + 1) for cap in g])):
+        # a member of an ideal is a generator or lies over a member one below
+        if not inI[k]:
+            for i, s in steps:
+                if a[i] and inI[k - s]:
+                    inI[k] = 1
+                    break
+        if inI[k]:
+            inJ[k] = 1      # I lies inside J
+            continue
+        if not inJ[k]:
+            for i, s in steps:
+                if a[i] and inJ[k - s]:
+                    inJ[k] = 1
+                    break
+        if inJ[k]:
             out.append(a)
     return tuple(out)
 

@@ -86,6 +86,24 @@ def test_violation_exit(monkeypatch, capsys):
     assert "INVARIANT VIOLATION" in capsys.readouterr().out
 
 
+def test_parser_reused_across_calls(tmp_path, capsys):
+    # one parser serves every call of main; no call may leave state in it
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run("sdepth", EXAMPLE, "--module", "neither")
+    assert exc.value.code == cli.USAGE_EXIT
+    assert run("size", EXAMPLE) == 0
+    out = tmp_path / "r.json"
+    assert run("sdepth", EXAMPLE, "--module", "ideal", "--json", str(out)) == 0
+    assert json.loads(out.read_text())["module"] == "ideal"
+    assert run("sdepth", EXAMPLE, "--json", str(out)) == 0
+    assert json.loads(out.read_text())["module"] == "quotient"
+    out.unlink()
+    assert run("sdepth", EXAMPLE) == 0
+    assert not out.exists()
+    assert "sdepth(S/I) = 1" in capsys.readouterr().out
+
+
 # -- verbs ------------------------------------------------------------------
 
 def test_decompose_output(tmp_path, capsys):

@@ -173,6 +173,17 @@ def module_pairs(draw, n_max=4, gens_max=3, exp_max=3):
     return A.intersect(J), J
 
 
+@given(module_pairs(), st.data())
+def test_points_agree_with_enumeration(pair, data):
+    # the up-closure walk against membership tested generator by generator,
+    # with caps above cap_vector too
+    I, J = pair
+    g = tuple(cap + data.draw(st.integers(0, 1)) for cap in cap_vector(I, J))
+    want = (oracles.members_within(J.gens, g)
+            - oracles.members_within(I.gens, g))
+    assert characteristic_points(I, J, g) == tuple(sorted(want))
+
+
 @given(module_pairs())
 def test_hilbert_bound_is_sound(pair):
     I, J = pair
