@@ -17,10 +17,16 @@ uses stripped and the rest renumbered in increasing order; the key is the
 kind of part, the number of variables kept and the frozenset of renumbered
 factors.  Stripping is exact: sdepth(M (x) K[x]) = sdepth(M) + 1 for a
 module M over the other variables (Herzog, Vladoiu and Zheng, "How to
-compute the Stanley depth of a monomial ideal", Lemma 3.6).  Within a
-family, the components outside the subset that hold a multiplier w are
-found as a bitmask, the OR over the touched variables i of the components
-with a power of x_i dividing w, and the slice depth is looked up per mask.
+compute the Stanley depth of a monomial ideal", Lemma 3.6).
+
+Component membership is one table per split, built once: bit j of
+held[i][x] is set iff component j has a power x_i^e with e <= x.  The
+components holding a monomial through its exponents on some variables are
+then the OR of one entry per variable, a bitmask over the component indices.
+The classifier reads a monomial's subset and ideal flag from it; the
+direct-sum verifier tests every subset mask against it once per distinct
+pivot-block part; and the bound reads each multiplier's outside holders
+from it and looks up the slice depth per mask.
 
 The same decomposition data drives a sufficient condition on the ideal: if
 whenever the support of one component is covered by the supports of some of
@@ -35,7 +41,7 @@ import time
 from dataclasses import dataclass
 
 from .core import (Monomial, MonomialIdeal, RingCtx, monomials_up_to_degree,
-                   mul, restrict_exponents, total_degree)
+                   restrict_exponents, total_degree)
 from .decomposition import Decomposition, decompose
 from .errors import DomainError, ResourceLimitError
 from .sdepth import (_PART_CACHE, DEFAULT_POINT_CAP, sdepth_ideal,
@@ -54,6 +60,9 @@ class PivotSplit:
     pivot: int
     pivot_vars: frozenset   # support of the pivot component
     free_vars: frozenset    # the remaining variables
+    # bit j of held[i][x]: component j has a power x_i^e with e <= x; the
+    # last entry of held[i] stands for every larger exponent
+    held: tuple
 
     @property
     def r(self) -> int:
@@ -100,7 +109,26 @@ def build_split(D: Decomposition, pivot: int) -> PivotSplit:
         raise DomainError(f"pivot {pivot} outside 0..{D.s - 1}")
     pivot_vars = D.components[pivot].support
     free_vars = D.ring.all_vars() - pivot_vars
-    return PivotSplit(D, pivot, pivot_vars, free_vars)
+    top = [0] * D.ring.n
+    for Q in D.components:
+        for i, e in Q.powers:
+            top[i] = max(top[i], e)
+    held = [[0] * (t + 1) for t in top]
+    for j, Q in enumerate(D.components):
+        for i, e in Q.powers:
+            for x in range(e, top[i] + 1):
+                held[i][x] |= 1 << j
+    return PivotSplit(D, pivot, pivot_vars, free_vars,
+                      tuple(map(tuple, held)))
+
+
+def _holders(split: PivotSplit, m: Monomial, vars) -> int:
+    """Bitmask of the components with a power on vars dividing m."""
+    mask = 0
+    for i in vars:
+        h = split.held[i]
+        mask |= h[min(m[i], len(h) - 1)]
+    return mask
 
 
 def _touched(split: PivotSplit, subset: tuple) -> frozenset:
@@ -142,17 +170,20 @@ def classify_monomial(split: PivotSplit, m: Monomial) -> MonomialClass:
     D = split.decomposition
     if len(m) != D.ring.n:
         raise DomainError("monomial does not fit the decomposition ring")
-    comps = D.components
     u = restrict_exponents(m, split.pivot_vars)
-    subset = tuple(j for j, Q in enumerate(comps) if not Q.contains(u))
+    # the components whose sum u avoids are those not holding u
+    avoided = ((1 << D.s) - 1) & ~_holders(split, u, split.pivot_vars)
+    subset = tuple(j for j in range(D.s) if (avoided >> j) & 1)
     if len(subset) == D.s:
         return MonomialClass("free", u, None, None, False)
-    w = restrict_exponents(u, _touched(split, subset))
+    touched = _touched(split, subset)
+    w = restrict_exponents(u, touched)
     if not subset:
         return MonomialClass("family", u, subset, w, True)
-    v = restrict_exponents(m, split.free_vars)
-    z = mul(w, v)
-    in_ideal = all(comps[j].contains(z) for j in subset)
+    # m lies in I iff every component of the subset holds w times m's
+    # free part: w agrees with m on the touched variables, 0 elsewhere
+    holders = _holders(split, m, touched) | _holders(split, m, split.free_vars)
+    in_ideal = not avoided & ~holders
     return MonomialClass("family", u, subset, w, in_ideal)
 
 
@@ -173,33 +204,42 @@ def verify_direct_sum(split: PivotSplit, degree_cap: int = 6) -> DirectSumReport
     membership.  Summand membership is tested from the definitions; for a
     subset family it reduces to the pivot-block part lying in every
     component outside the subset while its touched part avoids every
-    component inside.
+    component inside.  It depends on the pivot-block part u alone, so the
+    summands holding u are found once per distinct u, each subset a bitmask
+    tested against the components holding u.
     """
     D = split.decomposition
-    comps = D.components
     if D.s > SUBSET_CAP:
         raise ResourceLimitError(
             f"{D.s} components exceed the subset enumeration cap of {SUBSET_CAP}")
+    if degree_cap < 0:
+        raise DomainError(f"degree cap {degree_cap} is negative")
     I = D.intersection()
-    subsets = [(subset, _touched(split, subset)) for t in range(D.s)
+    full = (1 << D.s) - 1
+    subsets = [(subset, sum(1 << j for j in subset), _touched(split, subset))
+               for t in range(D.s)
                for subset in itertools.combinations(range(D.s), t)]
     cap_warning = degree_cap < max(total_degree(g) for g in I.gens)
+    summands = {}   # pivot-block part -> the summands holding it
     violations = []
     checked = 0
     for m in monomials_up_to_degree(D.ring.n, degree_cap):
         checked += 1
         tag = classify_monomial(split, m)
         u = restrict_exponents(m, split.pivot_vars)
-        found = []
-        # u lies in the sum of the components iff some component holds it
-        if not any(Q.contains(u) for Q in comps):
-            found.append(("free", u, None, None))
-        for subset, touched in subsets:
-            w = restrict_exponents(u, touched)
-            if any(comps[j].contains(w) for j in subset):
-                continue
-            if all(comps[j].contains(u) for j in range(D.s) if j not in subset):
-                found.append(("family", u, subset, w))
+        found = summands.get(u)
+        if found is None:
+            inside = _holders(split, u, split.pivot_vars)
+            found = []
+            # u lies in the sum of the components iff some component holds it
+            if not inside:
+                found.append(("free", u, None, None))
+            for subset, T, touched in subsets:
+                if _holders(split, u, touched) & T or inside | T != full:
+                    continue
+                found.append(("family", u, subset,
+                              restrict_exponents(u, touched)))
+            summands[u] = found
         tag_key = (tag.kind, tag.spart, tag.subset, tag.multiplier)
         if len(found) != 1:
             violations.append((m, f"contained in {len(found)} summands"))
@@ -295,6 +335,7 @@ def _pivot_bound(D: Decomposition, pivot: int, cap_points: int,
                  deadline: float | None) -> PivotBound:
     split = build_split(D, pivot)
     comps = D.components
+    full = (1 << D.s) - 1
     base = D.ring.n - split.r
     candidates = [base]
     terms = []
@@ -309,28 +350,21 @@ def _pivot_bound(D: Decomposition, pivot: int, cap_points: int,
                                   cap_points, deadline))
         # (Q_j : w) over j outside the subset, meet K[untouched].  w lives on
         # the touched variables, so on the untouched ones Q_j : w keeps the
-        # powers of Q_j, or is the unit ideal when Q_j holds w.  Bit k of
-        # holds[i][x] marks outside[k] as holding every w with w_i = x
-        outside = [Q for j, Q in enumerate(comps) if j not in fam.subset]
-        # the last multiplier is the box's corner, each exponent at its largest
-        holds = {i: [0] * (fam.multipliers[-1][i] + 1) for i in fam.touched_vars}
+        # powers of Q_j, or is the unit ideal when Q_j holds w
+        outside = full & ~sum(1 << j for j in fam.subset)
         vanish = 0   # outside components with no power on the untouched variables
-        for k, Q in enumerate(outside):
-            for i, e in Q.powers:
-                for x in range(e, len(holds.get(i, ()))):
-                    holds[i][x] |= 1 << k
-            if not Q.support & fam.untouched_vars:
-                vanish |= 1 << k
+        for j, Q in enumerate(comps):
+            if (outside >> j) & 1 and not Q.support & fam.untouched_vars:
+                vanish |= 1 << j
         slices = {}
         for w in fam.multipliers:
-            mask = 0
-            for i, h in holds.items():
-                mask |= h[w[i]]
+            mask = _holders(split, w, fam.touched_vars) & outside
             if mask not in slices:
-                slices[mask] = None if vanish & ~mask else sum(_part(
+                keep = outside & ~mask   # the outside components not holding w
+                slices[mask] = None if vanish & keep else sum(_part(
                     "ideal", fam.untouched_vars,
-                    (Q.powers for k, Q in enumerate(outside)
-                     if not (mask >> k) & 1), cap_points, deadline))
+                    (Q.powers for j, Q in enumerate(comps) if (keep >> j) & 1),
+                    cap_points, deadline))
             ideal_part = slices[mask]
             if ideal_part is None:
                 skipped.append((fam.subset, w, "slice ideal is zero"))

@@ -65,8 +65,7 @@ def _deadline(args) -> float | None:
 def _emit_json(args, payload: dict) -> None:
     if getattr(args, "json", None):
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _decomposition_json(D: Decomposition) -> list:

@@ -3,9 +3,11 @@
 Everything here is deliberately naive and independent of the package
 internals: membership is tested generator by generator, ideals are compared
 through explicit monomial enumeration, and the depth search enumerates
-interval partitions outright.  The one exception, slow_pivot_bound, uses
-only the public ideal arithmetic and depth search of the package, with no
-memo.  Slow on purpose; keep the inputs small.
+interval partitions outright.  The exceptions use only public pieces of
+the package: slow_pivot_bound its ideal arithmetic and depth search, with
+no memo; slow_classify and slow_verify_direct_sum the components'
+generator-by-generator membership test and exponent restriction.  Slow on
+purpose; keep the inputs small.
 """
 
 import itertools
@@ -164,3 +166,73 @@ def slow_pivot_bound(D, pivot):
                 terms.append((subset, w, sdepth_ideal(J), quotient_part))
     value = min([n - len(pivot_vars)] + [a + b for _, _, a, b in terms])
     return value, terms, skipped
+
+
+# ---------------------------------------------------------------------------
+# the pivot split's summands, the slow way
+# ---------------------------------------------------------------------------
+
+def _touched(split, subset):
+    comps = split.decomposition.components
+    return split.pivot_vars & frozenset().union(*(comps[j].support for j in subset))
+
+
+def slow_classify(split, m):
+    """(kind, spart, subset, multiplier, in_ideal) of a monomial's summand.
+
+    Each component is tested on its generators, one at a time.
+    """
+    from stanley import restrict_exponents
+
+    comps = split.decomposition.components
+    u = restrict_exponents(m, split.pivot_vars)
+    subset = tuple(j for j, Q in enumerate(comps) if not Q.contains(u))
+    if len(subset) == len(comps):
+        return ("free", u, None, None, False)
+    w = restrict_exponents(u, _touched(split, subset))
+    if not subset:
+        return ("family", u, subset, w, True)
+    v = restrict_exponents(m, split.free_vars)
+    z = tuple(a + b for a, b in zip(w, v))
+    return ("family", u, subset, w, all(comps[j].contains(z) for j in subset))
+
+
+def slow_verify_direct_sum(split, degree_cap):
+    """(ok, checked, cap_warning, violations) of the direct-sum check.
+
+    Every subset is tested on every monomial, from the definitions.  The
+    classifier is looked up in stanley.bound on each call, as the library
+    does, so a classifier patched in there is checked by both.
+    """
+    import stanley.bound
+    from stanley import monomials_up_to_degree, restrict_exponents, total_degree
+
+    D = split.decomposition
+    comps = D.components
+    I = D.intersection()
+    subsets = [(subset, _touched(split, subset)) for t in range(D.s)
+               for subset in itertools.combinations(range(D.s), t)]
+    cap_warning = degree_cap < max(total_degree(g) for g in I.gens)
+    violations = []
+    checked = 0
+    for m in monomials_up_to_degree(D.ring.n, degree_cap):
+        checked += 1
+        tag = stanley.bound.classify_monomial(split, m)
+        u = restrict_exponents(m, split.pivot_vars)
+        found = []
+        if not any(Q.contains(u) for Q in comps):
+            found.append(("free", u, None, None))
+        for subset, touched in subsets:
+            w = restrict_exponents(u, touched)
+            if any(comps[j].contains(w) for j in subset):
+                continue
+            if all(comps[j].contains(u) for j in range(D.s) if j not in subset):
+                found.append(("family", u, subset, w))
+        tag_key = (tag.kind, tag.spart, tag.subset, tag.multiplier)
+        if len(found) != 1:
+            violations.append((m, f"contained in {len(found)} summands"))
+        elif found[0] != tag_key:
+            violations.append((m, "classifier names a different summand"))
+        if tag.in_ideal != I.contains(m):
+            violations.append((m, "ideal membership flag disagrees"))
+    return not violations, checked, cap_warning, tuple(violations)

@@ -6,12 +6,15 @@ import time
 import pytest
 from hypothesis import given
 
-from stanley import (CorpusSpec, Decomposition, IrreducibleComponent,
-                     MonomialIdeal, ResourceLimitError, RingCtx, SUBSET_CAP,
-                     build_split, check_size_inequality, classify_monomial,
-                     clear_cache, decompose, enumerate_families,
-                     generate_corpus, hypothesis_check, parse_ideal,
+import stanley.bound
+from stanley import (CorpusSpec, Decomposition, DomainError,
+                     IrreducibleComponent, MonomialIdeal, ResourceLimitError,
+                     RingCtx, SUBSET_CAP, build_split, check_size_inequality,
+                     classify_monomial, clear_cache, decompose,
+                     enumerate_families, generate_corpus, hypothesis_check,
+                     monomials_up_to_degree, parse_ideal, restrict_exponents,
                      sdepth_lower_bound, sdepth_quotient, verify_direct_sum)
+from stanley.bound import MonomialClass, _holders
 from stanley.sdepth import _PART_CACHE
 
 import oracles
@@ -131,6 +134,68 @@ def test_direct_sum_cap_warning():
     D = decompose(parse_ideal(EXAMPLE, R3))
     rep = verify_direct_sum(build_split(D, 0), degree_cap=1)
     assert rep.cap_warning
+
+
+def test_direct_sum_negative_degree_cap():
+    D = decompose(parse_ideal(EXAMPLE, R3))
+    with pytest.raises(DomainError):
+        verify_direct_sum(build_split(D, 0), degree_cap=-1)
+
+
+def _top(D):
+    return max(e for Q in D.components for _, e in Q.powers)
+
+
+@given(ideals(n_max=4, gens_max=3, exp_max=2))
+def test_holders_match_component_membership(I):
+    # one box point past every cap, so the table's last entries are read too
+    D = decompose(I)
+    split = build_split(D, 0)
+    caps = [1 + max([Q.exponent_of(i) for Q in D.components])
+            for i in range(D.ring.n)]
+    for vars in (D.ring.all_vars(), split.pivot_vars, split.free_vars):
+        for p in oracles.box(caps):
+            mask = _holders(split, p, vars)
+            q = restrict_exponents(p, vars)
+            assert [(mask >> j) & 1 == 1 for j in range(D.s)] == \
+                [Q.contains(q) for Q in D.components]
+
+
+@given(ideals(n_max=4, gens_max=3, exp_max=2))
+def test_classifier_matches_slow_classify(I):
+    D = decompose(I)
+    for pivot in range(D.s):
+        split = build_split(D, pivot)
+        for m in monomials_up_to_degree(D.ring.n, _top(D) + 1):
+            tag = classify_monomial(split, m)
+            assert (tag.kind, tag.spart, tag.subset, tag.multiplier,
+                    tag.in_ideal) == oracles.slow_classify(split, m)
+
+
+def _wrong_classifier(split, m):
+    # flips the ideal flag of every other monomial and renames summands:
+    # free ones as the empty family, larger subsets by dropping a component
+    tag = classify_monomial(split, m)
+    flip = tag.in_ideal != (sum(m) % 2 == 0)
+    if tag.kind == "free":
+        return MonomialClass("family", tag.spart, (), tag.spart, flip)
+    return MonomialClass("family", tag.spart, tag.subset[:-1] or tag.subset,
+                         tag.multiplier, flip)
+
+
+@given(ideals(n_max=3, gens_max=3, exp_max=2))
+def test_direct_sum_matches_slow_verify(I):
+    D = decompose(I)
+    for pivot in range(D.s):
+        split = build_split(D, pivot)
+        for classifier in (classify_monomial, _wrong_classifier):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(stanley.bound, "classify_monomial", classifier)
+                for cap in (0, 2, _top(D) + 1):
+                    rep = verify_direct_sum(split, degree_cap=cap)
+                    want = oracles.slow_verify_direct_sum(split, cap)
+                    assert (rep.ok, rep.checked, rep.cap_warning,
+                            rep.violations) == want
 
 
 @given(ideals(n_max=3, gens_max=3, exp_max=2))

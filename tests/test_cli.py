@@ -190,6 +190,14 @@ def test_verify_sum(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_sum_negative_degree_cap(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run("verify-sum", EXAMPLE, "--degree-cap", "-1",
+               "--json", str(out)) == cli.USAGE_EXIT
+    assert "degree cap -1 is negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_polarize(tmp_path, capsys):
     out = tmp_path / "p.json"
     assert run("polarize", "x1^3, x2*x3", "--json", str(out)) == 0
