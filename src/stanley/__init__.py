@@ -11,8 +11,8 @@ from .bound import (BoundReport, CheckReport, DirectSumReport,
                     check_size_inequality, classify_monomial,
                     enumerate_families, hypothesis_check, sdepth_lower_bound,
                     verify_direct_sum)
-from .core import (EXPONENT_CAP, MonomialIdeal, RingCtx, divides,
-                   is_squarefree, lcm, monomials_up_to_degree, mul,
+from .core import (EXPONENT_CAP, VARIABLE_CAP, MonomialIdeal, RingCtx,
+                   divides, is_squarefree, lcm, monomials_up_to_degree, mul,
                    polarization_parents, quotient, render_monomial,
                    restrict_exponents, squarefree_part, support, total_degree)
 from .corpus import (FAMILIES, CorpusSpec, SplitMix64, generate_corpus,
@@ -36,6 +36,7 @@ __all__ = [
     "IrreducibleComponent", "MonomialIdeal", "ParseError", "PivotBound",
     "ResourceLimitError", "RingCtx", "RingMismatchError", "SizeReport",
     "SplitMix64", "StanleyDecomposition", "StanleyError", "SUBSET_CAP",
+    "VARIABLE_CAP",
     "build_split", "cap_vector", "characteristic_points",
     "check_size_inequality", "classify_monomial", "clear_cache", "decompose",
     "divides", "enumerate_families", "generate_corpus", "hypothesis_check",

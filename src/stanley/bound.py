@@ -22,11 +22,16 @@ compute the Stanley depth of a monomial ideal", Lemma 3.6).
 Component membership is one table per split, built once: bit j of
 held[i][x] is set iff component j has a power x_i^e with e <= x.  The
 components holding a monomial through its exponents on some variables are
-then the OR of one entry per variable, a bitmask over the component indices.
-The classifier reads a monomial's subset and ideal flag from it; the
-direct-sum verifier tests every subset mask against it once per distinct
-pivot-block part; and the bound reads each multiplier's outside holders
-from it and looks up the slice depth per mask.
+then the OR of one entry per variable, a bitmask over the component indices,
+and the last entry of each row is the mask of the components using x_i.  A
+monomial's summand depends only on its pivot-block part u, so the classifier
+derives the subset, the multiplier and the components its free part must
+hold once per distinct u, keeps them on the split, and reads only the ideal
+flag from the free part of each monomial.  The direct-sum verifier tests
+every subset mask against the table once per distinct u, from the
+definitions and apart from the classifier's memo; and the bound reads each
+multiplier's outside holders from the table and looks up the slice depth
+per mask.
 
 The same decomposition data drives a sufficient condition on the ideal: if
 whenever the support of one component is covered by the supports of some of
@@ -38,7 +43,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import mul
 
 from .core import (Monomial, MonomialIdeal, RingCtx, monomials_up_to_degree,
                    restrict_exponents, total_degree)
@@ -60,9 +66,15 @@ class PivotSplit:
     pivot: int
     pivot_vars: frozenset   # support of the pivot component
     free_vars: frozenset    # the remaining variables
-    # bit j of held[i][x]: component j has a power x_i^e with e <= x; the
-    # last entry of held[i] stands for every larger exponent
+    # bit j of held[i][x]: component j has a power x_i^e with e <= x; every
+    # row runs to top, the largest exponent of any component, so held[i][top]
+    # stands for every larger exponent and holds the components using x_i
     held: tuple
+    top: int
+    pivot_ind: tuple        # 1 on the pivot variables, 0 on the free ones
+    # pivot-block part -> what classify_monomial derives from it alone
+    parts: dict = field(default_factory=dict, repr=False, compare=False,
+                        hash=False)
 
     @property
     def r(self) -> int:
@@ -107,34 +119,33 @@ class MonomialClass:
 def build_split(D: Decomposition, pivot: int) -> PivotSplit:
     if not 0 <= pivot < D.s:
         raise DomainError(f"pivot {pivot} outside 0..{D.s - 1}")
+    n = D.ring.n
     pivot_vars = D.components[pivot].support
-    free_vars = D.ring.all_vars() - pivot_vars
-    top = [0] * D.ring.n
-    for Q in D.components:
-        for i, e in Q.powers:
-            top[i] = max(top[i], e)
-    held = [[0] * (t + 1) for t in top]
+    top = max((e for Q in D.components for _, e in Q.powers), default=0)
+    held = [[0] * (top + 1) for _ in range(n)]
     for j, Q in enumerate(D.components):
         for i, e in Q.powers:
-            for x in range(e, top[i] + 1):
+            for x in range(e, top + 1):
                 held[i][x] |= 1 << j
-    return PivotSplit(D, pivot, pivot_vars, free_vars,
-                      tuple(map(tuple, held)))
+    return PivotSplit(D, pivot, pivot_vars, D.ring.all_vars() - pivot_vars,
+                      tuple(map(tuple, held)), top,
+                      tuple(int(i in pivot_vars) for i in range(n)))
 
 
 def _holders(split: PivotSplit, m: Monomial, vars) -> int:
     """Bitmask of the components with a power on vars dividing m."""
+    held, top = split.held, split.top
     mask = 0
     for i in vars:
-        h = split.held[i]
-        mask |= h[min(m[i], len(h) - 1)]
+        x = m[i]
+        mask |= held[i][x if x < top else top]
     return mask
 
 
-def _touched(split: PivotSplit, subset: tuple) -> frozenset:
+def _touched(split: PivotSplit, subset_mask: int) -> frozenset:
     """The pivot variables hit by the supports of the subset's components."""
-    comps = split.decomposition.components
-    return split.pivot_vars & frozenset().union(*(comps[j].support for j in subset))
+    held, top = split.held, split.top
+    return frozenset(i for i in split.pivot_vars if held[i][top] & subset_mask)
 
 
 def _family(split: PivotSplit, subset: tuple) -> SummandFamily:
@@ -165,26 +176,46 @@ def enumerate_families(split: PivotSplit) -> tuple:
     return tuple(out)
 
 
-def classify_monomial(split: PivotSplit, m: Monomial) -> MonomialClass:
-    """Assign a monomial to its summand under the pivot split."""
-    D = split.decomposition
-    if len(m) != D.ring.n:
-        raise DomainError("monomial does not fit the decomposition ring")
-    u = restrict_exponents(m, split.pivot_vars)
+def _classify_part(split: PivotSplit, u: Monomial) -> tuple:
+    """What every monomial with pivot-block part u shares.
+
+    Returns (need, tag outside I, tag inside I): need is the bitmask of the
+    components that the monomial's free part must hold for the monomial to
+    lie in I, and 0 when the answer does not depend on it.
+    """
+    s = split.decomposition.s
     # the components whose sum u avoids are those not holding u
-    avoided = ((1 << D.s) - 1) & ~_holders(split, u, split.pivot_vars)
-    subset = tuple(j for j in range(D.s) if (avoided >> j) & 1)
-    if len(subset) == D.s:
-        return MonomialClass("free", u, None, None, False)
-    touched = _touched(split, subset)
+    avoided = ((1 << s) - 1) & ~_holders(split, u, split.pivot_vars)
+    subset = tuple(j for j in range(s) if (avoided >> j) & 1)
+    if len(subset) == s:
+        tag = MonomialClass("free", u, None, None, False)
+        return 0, tag, tag
+    touched = _touched(split, avoided)
     w = restrict_exponents(u, touched)
-    if not subset:
-        return MonomialClass("family", u, subset, w, True)
-    # m lies in I iff every component of the subset holds w times m's
-    # free part: w agrees with m on the touched variables, 0 elsewhere
-    holders = _holders(split, m, touched) | _holders(split, m, split.free_vars)
-    in_ideal = not avoided & ~holders
-    return MonomialClass("family", u, subset, w, in_ideal)
+    # m lies in I iff every component of the subset holds w times m's free
+    # part: w agrees with m on the touched variables, 0 elsewhere
+    need = avoided & ~_holders(split, w, touched)
+    return (need, MonomialClass("family", u, subset, w, False),
+            MonomialClass("family", u, subset, w, True))
+
+
+def classify_monomial(split: PivotSplit, m: Monomial) -> MonomialClass:
+    """Assign a monomial to its summand under the pivot split.
+
+    The summand depends on the pivot-block part u alone, so it is derived
+    once per distinct u and kept on the split; only the ideal flag reads
+    the monomial's free part.
+    """
+    if len(m) != split.decomposition.ring.n:
+        raise DomainError("monomial does not fit the decomposition ring")
+    u = tuple(map(mul, m, split.pivot_ind))
+    part = split.parts.get(u)
+    if part is None:
+        part = split.parts[u] = _classify_part(split, u)
+    need, outside, inside = part
+    if need and need & ~_holders(split, m, split.free_vars):
+        return outside
+    return inside
 
 
 @dataclass(frozen=True)
@@ -216,9 +247,11 @@ def verify_direct_sum(split: PivotSplit, degree_cap: int = 6) -> DirectSumReport
         raise DomainError(f"degree cap {degree_cap} is negative")
     I = D.intersection()
     full = (1 << D.s) - 1
-    subsets = [(subset, sum(1 << j for j in subset), _touched(split, subset))
-               for t in range(D.s)
-               for subset in itertools.combinations(range(D.s), t)]
+    subsets = []
+    for t in range(D.s):
+        for subset in itertools.combinations(range(D.s), t):
+            T = sum(1 << j for j in subset)
+            subsets.append((subset, T, _touched(split, T)))
     cap_warning = degree_cap < max(total_degree(g) for g in I.gens)
     summands = {}   # pivot-block part -> the summands holding it
     violations = []
@@ -226,7 +259,7 @@ def verify_direct_sum(split: PivotSplit, degree_cap: int = 6) -> DirectSumReport
     for m in monomials_up_to_degree(D.ring.n, degree_cap):
         checked += 1
         tag = classify_monomial(split, m)
-        u = restrict_exponents(m, split.pivot_vars)
+        u = tuple(map(mul, m, split.pivot_ind))
         found = summands.get(u)
         if found is None:
             inside = _holders(split, u, split.pivot_vars)

@@ -9,6 +9,7 @@ the unit ideal is generated by the monomial 1.  All values are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Iterator
 
 from .errors import DomainError, ExponentCapError, RingMismatchError
@@ -20,6 +21,9 @@ VarSet = frozenset
 
 # Inputs whose generator exponents exceed this cap are rejected.
 EXPONENT_CAP = 64
+# Rings with more variables than this are rejected before any is built:
+# monomials are dense tuples, as long as the ring's variable count.
+VARIABLE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,9 @@ class RingCtx:
     def __post_init__(self):
         if self.n < 0:
             raise DomainError("ring needs a non-negative variable count")
+        if self.n > VARIABLE_CAP:
+            raise DomainError(
+                f"{self.n} variables exceed the cap of {VARIABLE_CAP}")
         if not self.var_names:
             object.__setattr__(self, "var_names", default_names(self.n))
         elif len(self.var_names) != self.n:
@@ -107,20 +114,33 @@ def restrict_exponents(a: Monomial, vars: VarSet) -> Monomial:
 
 
 def monomials_up_to_degree(n: int, d: int) -> Iterator[Monomial]:
-    """Yield every exponent vector in n variables of total degree <= d."""
+    """Yield every exponent vector in n variables of total degree <= d.
+
+    The vectors come in lexicographic order: for each head, the first n - 1
+    exponents, every last exponent the degree leaves room for.
+    """
     if n == 0:
         yield ()
         return
-
-    def rec(prefix: tuple, remaining: int, slots: int) -> Iterator[Monomial]:
-        if slots == 1:
-            for e in range(remaining + 1):
-                yield prefix + (e,)
+    head = [0] * (n - 1)
+    total = 0   # the degree of head
+    while True:
+        prefix = tuple(head)
+        for e in range(d - total + 1):
+            yield prefix + (e,)
+        # the next head: raise the last exponent that leaves the degree <= d,
+        # zeroing those after it
+        k = n - 2
+        while k >= 0:
+            if total < d:
+                head[k] += 1
+                total += 1
+                break
+            total -= head[k]
+            head[k] = 0
+            k -= 1
+        else:
             return
-        for e in range(remaining + 1):
-            yield from rec(prefix + (e,), remaining - e, slots - 1)
-
-    yield from rec((), d, n)
 
 
 def _minimalize(gens: Iterable) -> tuple:
@@ -189,7 +209,10 @@ class MonomialIdeal:
         """Monomial membership: some generator divides m."""
         if len(m) != self.ring.n:
             raise RingMismatchError("monomial from a different ring")
-        return any(divides(g, m) for g in self.gens)
+        for g in self.gens:
+            if all(map(le, g, m)):
+                return True
+        return False
 
     def includes(self, other: "MonomialIdeal") -> bool:
         """True iff other is contained in self."""

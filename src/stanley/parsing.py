@@ -8,16 +8,17 @@ Grammar, whitespace insignificant:
     factor  := "x" INT [ "^" INT ]
 
 Variable indices are 1-based in text.  Without a ring header or an explicit
-ring the variable count is inferred from the largest index used.  The bodies
-"0" and "1" denote the zero and unit ideal and need an explicit ring.
+ring the variable count is inferred from the largest index used.  An index
+or ring header above VARIABLE_CAP is rejected before any ring is built.  The
+bodies "0" and "1" denote the zero and unit ideal and need an explicit ring.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import MonomialIdeal, RingCtx
-from .errors import ParseError
+from .core import EXPONENT_CAP, VARIABLE_CAP, MonomialIdeal, RingCtx
+from .errors import ExponentCapError, ParseError
 
 _WS = re.compile(r"[ \t\r\n]*")
 _RING = re.compile(r"ring[ \t]+(\d+)")
@@ -55,12 +56,29 @@ class _Cursor:
         raise ParseError(message, self.pos)
 
 
+def _number(digits: str) -> int | None:
+    """The value of a digit run, or None for a run too long for int()."""
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:
+        return None
+
+
+def _ring_size(digits: str, pos: int) -> int:
+    """A variable count or 1-based index, checked against VARIABLE_CAP."""
+    n = _number(digits)
+    if n is None or n > VARIABLE_CAP:
+        raise ParseError(
+            f"variable count exceeds the cap of {VARIABLE_CAP}", pos)
+    return n
+
+
 def _parse_factor(c: _Cursor) -> tuple:
     pos = c.pos
     m = c.take(_VAR)
     if not m:
         c.fail("expected a factor like x2 or x2^3")
-    index = int(m.group(1))
+    index = _ring_size(m.group(1), pos)
     if index < 1:
         raise ParseError("variable indices start at 1", pos)
     exp = 1
@@ -68,7 +86,11 @@ def _parse_factor(c: _Cursor) -> tuple:
         e = c.take(_INT)
         if not e:
             c.fail("expected an exponent after '^'")
-        exp = int(e.group(0))
+        exp = _number(e.group(0))
+        if exp is None:
+            raise ExponentCapError(
+                f"exponent of {len(e.group(0))} digits exceeds the cap of "
+                f"{EXPONENT_CAP}")
         if exp < 1:
             raise ParseError("exponents must be at least 1", pos)
     return index - 1, exp
@@ -93,7 +115,7 @@ def parse_ideal(text: str, ring: RingCtx | None = None) -> MonomialIdeal:
     """
     c = _Cursor(text)
     header = c.take(_RING)
-    n_header = int(header.group(1)) if header else None
+    n_header = _ring_size(header.group(1), header.start(1)) if header else None
     if n_header is not None and ring is not None and ring.n != n_header:
         raise ParseError(
             f"ring header says {n_header} variables, caller says {ring.n}")

@@ -3,6 +3,7 @@
 import math
 import time
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -170,6 +171,26 @@ def test_classifier_matches_slow_classify(I):
             tag = classify_monomial(split, m)
             assert (tag.kind, tag.spart, tag.subset, tag.multiplier,
                     tag.in_ideal) == oracles.slow_classify(split, m)
+
+
+@given(ideals(n_max=4, gens_max=3, exp_max=2), st.randoms(use_true_random=False))
+def test_classifier_memo_is_not_poisoned(I, rnd):
+    # one split classifies the box one past the caps in a shuffled order;
+    # each tag must match a fresh split's and the oracle's
+    D = decompose(I)
+    caps = [1 + max([Q.exponent_of(i) for Q in D.components])
+            for i in range(D.ring.n)]
+    box = list(oracles.box(caps))
+    for pivot in range(D.s):
+        split = build_split(D, pivot)
+        rnd.shuffle(box)
+        for m in box:
+            tag = classify_monomial(split, m)
+            assert tag == classify_monomial(build_split(D, pivot), m)
+            assert (tag.kind, tag.spart, tag.subset, tag.multiplier,
+                    tag.in_ideal) == oracles.slow_classify(split, m)
+        unused = build_split(D, pivot)
+        assert split == unused and hash(split) == hash(unused)
 
 
 def _wrong_classifier(split, m):

@@ -7,8 +7,8 @@ import pathlib
 
 import pytest
 
-from stanley import (MonomialIdeal, RingCtx, cap_vector, characteristic_points,
-                     cli, clear_cache, parse_ideal)
+from stanley import (VARIABLE_CAP, MonomialIdeal, RingCtx, cap_vector,
+                     characteristic_points, cli, clear_cache, parse_ideal)
 from stanley.bound import check_size_inequality
 from stanley.sdepth import _hilbert_bound
 
@@ -49,6 +49,13 @@ def test_text_and_file_conflict(tmp_path, capsys):
 def test_parse_error_exit(capsys):
     assert run("size", "x1^^2") == cli.PARSE_EXIT
     assert "parse error" in capsys.readouterr().err
+
+
+def test_variable_cap_exits(capsys):
+    assert run("size", f"x{VARIABLE_CAP + 1}") == cli.PARSE_EXIT
+    assert run("size", f"ring {VARIABLE_CAP + 1} x1") == cli.PARSE_EXIT
+    assert run("size", "x1", "--ring", str(VARIABLE_CAP + 1)) == cli.USAGE_EXIT
+    assert f"cap of {VARIABLE_CAP}" in capsys.readouterr().err
 
 
 def test_missing_file_exit(capsys):

@@ -1,10 +1,12 @@
 """Monomial and ideal arithmetic against brute-force enumeration."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from stanley import (EXPONENT_CAP, DomainError, ExponentCapError,
+from stanley import (EXPONENT_CAP, VARIABLE_CAP, DomainError, ExponentCapError,
                      MonomialIdeal, RingCtx, RingMismatchError, divides, lcm,
                      monomials_up_to_degree, mul, polarization_parents,
                      quotient, render_monomial, restrict_exponents,
@@ -27,6 +29,9 @@ def test_ring_basics():
         RingCtx(-1)
     with pytest.raises(DomainError):
         RingCtx(2, var_names=("a",))
+    with pytest.raises(DomainError):
+        RingCtx(VARIABLE_CAP + 1)
+    assert RingCtx(VARIABLE_CAP).n == VARIABLE_CAP
 
 
 def test_zero_variable_ring():
@@ -58,6 +63,14 @@ def test_monomials_up_to_degree_count():
     assert list(monomials_up_to_degree(1, 2)) == [(0,), (1,), (2,)]
 
 
+def test_monomials_up_to_degree_order():
+    for n in range(6):
+        for d in range(7):
+            want = sorted(m for m in itertools.product(range(d + 1), repeat=n)
+                          if sum(m) <= d)
+            assert list(monomials_up_to_degree(n, d)) == want
+
+
 def test_canonical_generators():
     I = MonomialIdeal(R3, [(1, 1, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0)])
     # divisible and duplicate generators drop, the rest sort lexicographically
@@ -84,6 +97,14 @@ def test_membership_and_inclusion():
     assert not I.includes(MonomialIdeal(R3, [(1, 0, 0)]))
     assert MonomialIdeal.unit(R3).includes(I)
     assert I.includes(MonomialIdeal.zero(R3))
+    with pytest.raises(RingMismatchError):
+        I.contains((2, 5))
+
+
+@given(ideals(n_max=4, gens_max=4, exp_max=3))
+def test_membership_matches_oracle(I):
+    for m in oracles.box((4,) * I.ring.n):
+        assert I.contains(m) == oracles.member(m, I.gens)
 
 
 @given(ideal_pairs())

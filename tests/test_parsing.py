@@ -1,10 +1,15 @@
 """The ideal text grammar."""
 
+import contextlib
+import io
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from stanley import (DomainError, MonomialIdeal, ParseError, RingCtx,
-                     parse_ideal, parse_monomial)
+from stanley import (COMPONENT_CAP, VARIABLE_CAP, DomainError,
+                     ExponentCapError, MonomialIdeal, ParseError, RingCtx, cli,
+                     decompose, parse_ideal, parse_monomial)
 
 import oracles
 from conftest import ideals
@@ -88,3 +93,45 @@ def test_parsed_members_match(I):
     J = parse_ideal(I.render(), I.ring)
     caps = (4,) * I.ring.n
     assert oracles.same_members(I.gens, J.gens, caps)
+
+
+def test_variable_cap():
+    assert parse_ideal(f"x{VARIABLE_CAP}").ring.n == VARIABLE_CAP
+    with pytest.raises(ParseError):
+        parse_ideal(f"x{VARIABLE_CAP + 1}")
+    with pytest.raises(ParseError):
+        parse_ideal(f"ring {VARIABLE_CAP + 1} x1")
+
+
+def test_long_exponent_is_over_the_cap():
+    # int() refuses digit runs past a few thousand digits
+    with pytest.raises(ExponentCapError):
+        parse_ideal("x1^" + "9" * 5000)
+    assert parse_ideal("x1^" + "0" * 5000 + "2").gens == ((2,),)
+
+
+# the grammar's characters and keyword, and characters it does not use
+# (a Unicode digit among them, which the digit patterns accept)
+FUZZ_TOKENS = (list("0123456789x^*, ") + ["ring", "\t", "\n"]
+               + list("y-+().é²\u0663"))
+
+
+@given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=24).map("".join))
+def test_parser_fuzz(text):
+    # the digit runs can name huge rings: fail first if nothing refuses them
+    with pytest.raises(ParseError):
+        parse_ideal(f"x{VARIABLE_CAP + 1}")
+    try:
+        I = parse_ideal(text)
+    except (ParseError, ExponentCapError):
+        I = None
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["size", "--", text])
+    if I is None:
+        assert code == cli.PARSE_EXIT
+    elif not I.is_proper:
+        assert code == cli.USAGE_EXIT   # the zero and unit ideals
+    else:
+        capped = decompose(I).s > COMPONENT_CAP
+        assert code == (cli.RESOURCE_EXIT if capped else 0)
