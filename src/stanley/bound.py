@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
-from .core import (Monomial, MonomialIdeal, RingCtx, monomials_up_to_degree,
-                   restrict_exponents, total_degree)
+from .core import (Monomial, MonomialIdeal, Record, RingCtx,
+                   monomials_up_to_degree, restrict_exponents, total_degree)
 from .decomposition import Decomposition, decompose
 from .errors import DomainError, ResourceLimitError
 from .sdepth import (_PART_CACHE, DEFAULT_POINT_CAP, sdepth_ideal,
@@ -58,31 +58,42 @@ from .size import SizeReport, size
 SUBSET_CAP = 14
 
 
-@dataclass(frozen=True)
-class PivotSplit:
+class PivotSplit(Record):
     """Variable split induced by one component of a decomposition."""
 
-    decomposition: Decomposition
-    pivot: int
-    pivot_vars: frozenset   # support of the pivot component
-    free_vars: frozenset    # the remaining variables
-    # bit j of held[i][x]: component j has a power x_i^e with e <= x; every
-    # row runs to top, the largest exponent of any component, so held[i][top]
-    # stands for every larger exponent and holds the components using x_i
-    held: tuple
-    top: int
-    pivot_ind: tuple        # 1 on the pivot variables, 0 on the free ones
-    # pivot-block part -> what classify_monomial derives from it alone
-    parts: dict = field(default_factory=dict, repr=False, compare=False,
-                        hash=False)
+    __slots__ = (
+        "decomposition", "pivot",
+        "pivot_vars",   # support of the pivot component
+        "free_vars",    # the remaining variables
+        # bit j of held[i][x]: component j has a power x_i^e with e <= x; every
+        # row runs to top, the largest exponent of any component, so
+        # held[i][top] stands for every larger exponent and holds the
+        # components using x_i
+        "held", "top",
+        "pivot_ind",    # 1 on the pivot variables, 0 on the free ones
+        # pivot-block part -> what classify_monomial derives from it alone;
+        # left out of ==, hash() and repr()
+        "parts")
+    _compared = __slots__[:-1]
+
+    def __init__(self, decomposition: Decomposition, pivot: int,
+                 pivot_vars: frozenset, free_vars: frozenset, held: tuple,
+                 top: int, pivot_ind: tuple, parts: dict | None = None):
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "pivot", pivot)
+        object.__setattr__(self, "pivot_vars", pivot_vars)
+        object.__setattr__(self, "free_vars", free_vars)
+        object.__setattr__(self, "held", held)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "pivot_ind", pivot_ind)
+        object.__setattr__(self, "parts", {} if parts is None else parts)
 
     @property
     def r(self) -> int:
         return len(self.pivot_vars)
 
 
-@dataclass(frozen=True)
-class SummandFamily:
+class SummandFamily(NamedTuple):
     """Summands shared by one subset of components.
 
     touched_vars are the pivot variables hit by the subset's supports,
@@ -98,8 +109,7 @@ class SummandFamily:
     multipliers: tuple
 
 
-@dataclass(frozen=True)
-class MonomialClass:
+class MonomialClass(NamedTuple):
     """Which summand a monomial belongs to.
 
     kind "free" carries the pivot-block part spart with spart avoiding
@@ -218,8 +228,7 @@ def classify_monomial(split: PivotSplit, m: Monomial) -> MonomialClass:
     return inside
 
 
-@dataclass(frozen=True)
-class DirectSumReport:
+class DirectSumReport(NamedTuple):
     ok: bool
     checked: int
     degree_cap: int
@@ -289,8 +298,7 @@ def verify_direct_sum(split: PivotSplit, degree_cap: int = 6) -> DirectSumReport
 # the lower bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundTerm:
+class BoundTerm(NamedTuple):
     subset: tuple
     multiplier: tuple
     ideal_part: int
@@ -304,8 +312,7 @@ class BoundTerm:
         return self.ideal_part + self.quotient_part
 
 
-@dataclass(frozen=True)
-class PivotBound:
+class PivotBound(NamedTuple):
     pivot: int
     r: int
     base: int        # the n - r candidate
@@ -314,8 +321,7 @@ class PivotBound:
     skipped: tuple   # (subset, multiplier, reason)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     value: int
     best_pivot: int
     per_pivot: tuple
@@ -436,8 +442,7 @@ def sdepth_lower_bound(I: MonomialIdeal, pivot: int | None = None,
 # the containment hypothesis and the size inequality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     satisfied: bool
     violations: tuple  # (component index, subset) pairs
 
@@ -474,8 +479,7 @@ def hypothesis_check(D: Decomposition, cap: int = SUBSET_CAP) -> HypothesisRepor
     return HypothesisReport(satisfied=not violations, violations=tuple(violations))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     ideal: MonomialIdeal
     decomposition: Decomposition
     size: SizeReport

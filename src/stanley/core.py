@@ -8,8 +8,7 @@ the unit ideal is generated by the monomial 1.  All values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable, Iterator
 
 from .errors import DomainError, ExponentCapError, RingMismatchError
@@ -26,23 +25,62 @@ EXPONENT_CAP = 64
 VARIABLE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class RingCtx:
+class Record:
+    """Immutable value type over __slots__.
+
+    A subclass sets its slots once, through object.__setattr__.  ==, hash()
+    and repr() read the fields named in _compared, and hash() is that of
+    their tuple.
+    """
+
+    __slots__ = ()
+    _compared: tuple = ()
+
+    def __init_subclass__(cls):
+        # the compared fields in one C call; a lone field still gives a tuple
+        get = attrgetter(*cls._compared)
+        cls._values = property(get if len(cls._compared) > 1
+                               else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor
+        return type(self), self._values
+
+
+class RingCtx(Record):
     """A polynomial ring over a field, identified by its variables."""
 
-    n: int
-    var_names: tuple = ()
+    __slots__ = _compared = ("n", "var_names")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, var_names: tuple = ()):
+        if n < 0:
             raise DomainError("ring needs a non-negative variable count")
-        if self.n > VARIABLE_CAP:
-            raise DomainError(
-                f"{self.n} variables exceed the cap of {VARIABLE_CAP}")
-        if not self.var_names:
-            object.__setattr__(self, "var_names", default_names(self.n))
-        elif len(self.var_names) != self.n:
+        if n > VARIABLE_CAP:
+            raise DomainError(f"{n} variables exceed the cap of {VARIABLE_CAP}")
+        if not var_names:
+            var_names = default_names(n)
+        elif len(var_names) != n:
             raise DomainError("var_names length does not match n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "var_names", var_names)
 
     def one(self) -> Monomial:
         return (0,) * self.n
@@ -158,13 +196,18 @@ def _minimalize(gens: Iterable) -> tuple:
 # ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """A monomial ideal in canonical minimal-generator form."""
 
-    ring: RingCtx
-    gens: tuple = ()
+    __slots__ = _compared = ("ring", "gens")
 
+    def __init__(self, ring: RingCtx, gens: tuple = ()):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "gens", gens)
+        self.__post_init__()
+
+    # looked up on the class at each construction, so wrapping it there
+    # sees every ideal built
     def __post_init__(self):
         canon = []
         for g in self.gens:

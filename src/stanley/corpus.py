@@ -17,10 +17,8 @@ decomposition passes the containment hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bound import hypothesis_check
-from .core import MonomialIdeal, RingCtx
+from .core import MonomialIdeal, Record, RingCtx
 from .decomposition import decompose
 from .errors import DomainError, ResourceLimitError
 
@@ -59,27 +57,29 @@ class SplitMix64:
         return lo + self.below(hi - lo + 1)
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    seed: int
-    count: int
-    family: str = "general"
-    n_range: tuple = (2, 4)
-    gens_range: tuple = (2, 4)
-    max_exponent: int = 3
+class CorpusSpec(Record):
+    __slots__ = _compared = ("seed", "count", "family", "n_range",
+                             "gens_range", "max_exponent")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
-        if self.count < 1:
+    def __init__(self, seed: int, count: int, family: str = "general",
+                 n_range: tuple = (2, 4), gens_range: tuple = (2, 4),
+                 max_exponent: int = 3):
+        if family not in FAMILIES:
+            raise DomainError(f"unknown family {family!r}")
+        if count < 1:
             raise DomainError("count must be positive")
-        if self.max_exponent < 1:
+        if max_exponent < 1:
             raise DomainError("max_exponent must be at least 1")
-        for label, rng in (("n_range", self.n_range),
-                           ("gens_range", self.gens_range)):
+        for label, rng in (("n_range", n_range), ("gens_range", gens_range)):
             lo, hi = rng
             if not (1 <= lo <= hi):
                 raise DomainError(f"{label} must satisfy 1 <= lo <= hi")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n_range", n_range)
+        object.__setattr__(self, "gens_range", gens_range)
+        object.__setattr__(self, "max_exponent", max_exponent)
 
 
 def random_monomial(rng: SplitMix64, n: int, max_exponent: int) -> tuple:

@@ -13,27 +13,29 @@ the support of Q_k and the largest exponent plus one elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .core import Monomial, MonomialIdeal, RingCtx, support, total_degree
+from .core import (Monomial, MonomialIdeal, Record, RingCtx, support,
+                   total_degree)
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
+class IrreducibleComponent(Record):
     """Pure-power component, stored sparsely as ((var, exponent), ...)."""
 
-    powers: tuple
-    support: frozenset = field(init=False, repr=False, compare=False)
+    __slots__ = ("powers", "support")
+    _compared = ("powers",)     # support is derived from powers
 
-    def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(sorted(self.powers)))
-        object.__setattr__(self, "support", frozenset(i for i, _ in self.powers))
-        for _, e in self.powers:
+    def __init__(self, powers: tuple):
+        powers = tuple(sorted(powers))
+        support = frozenset(i for i, _ in powers)
+        for _, e in powers:
             if e < 1:
                 raise DomainError("component exponents must be positive")
-        if len(self.support) != len(self.powers):
+        if len(support) != len(powers):
             raise DomainError("component repeats a variable")
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "support", support)
 
     def exponent_of(self, var: int) -> int:
         """Exponent of the pure power on var, 0 if var is absent."""
@@ -60,8 +62,7 @@ class IrreducibleComponent:
         return ", ".join(parts)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Irredundant intersection of irreducible components, canonically ordered."""
 
     ring: RingCtx

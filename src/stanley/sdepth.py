@@ -51,8 +51,8 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, prod
+from typing import NamedTuple
 
 from .core import Monomial, MonomialIdeal
 from .errors import DomainError, ResourceLimitError, RingMismatchError
@@ -70,15 +70,13 @@ def clear_cache() -> None:
     _PART_CACHE.clear()
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     lower: tuple
     upper: tuple
     dim: int
 
 
-@dataclass(frozen=True)
-class StanleyDecomposition:
+class StanleyDecomposition(NamedTuple):
     """Witness interval partition together with its minimum dimension."""
 
     g: tuple

@@ -9,7 +9,7 @@ cover that union.  The cover search is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import MonomialIdeal
 from .decomposition import Decomposition, decompose
@@ -19,8 +19,7 @@ from .errors import DomainError, ResourceLimitError
 COMPONENT_CAP = 20
 
 
-@dataclass(frozen=True)
-class SizeReport:
+class SizeReport(NamedTuple):
     n: int
     s: int
     h: int

@@ -1,9 +1,11 @@
 """Command line surface: exit codes, stdout, and JSON reports."""
 
-import dataclasses
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +29,25 @@ def test_help_exits_zero(capsys):
         run("--help")
     assert exc.value.code == 0
     assert "decompose" in capsys.readouterr().out
+
+
+def test_entry_point_imports_no_code_generators():
+    # record types are ordinary classes: starting the command line compiles
+    # no generated methods, so dataclasses (and the inspect it pulls in) stay
+    # out of the import
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "stanley.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    for verb in ("decompose", "size", "sdepth", "bound", "check", "verify-sum",
+                 "polarize", "corpus"):
+        assert verb in proc.stdout
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines() if "|" in line]
+    assert "stanley.core" in imported
+    assert not {"dataclasses", "inspect"} & set(imported)
 
 
 def test_unknown_verb_is_usage_error(capsys):
@@ -86,7 +107,7 @@ def test_timeout_bounds_whole_command(capsys):
 def test_violation_exit(monkeypatch, capsys):
     def doctored(I, **kw):
         rep = check_size_inequality(I, **kw)
-        return dataclasses.replace(rep, sdepth_ge_bound=False)
+        return rep._replace(sdepth_ge_bound=False)
 
     monkeypatch.setattr(cli, "check_size_inequality", doctored)
     assert run("check", EXAMPLE) == cli.VIOLATION_EXIT

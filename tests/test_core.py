@@ -1,6 +1,7 @@
 """Monomial and ideal arithmetic against brute-force enumeration."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,9 @@ from stanley import (EXPONENT_CAP, VARIABLE_CAP, DomainError, ExponentCapError,
                      monomials_up_to_degree, mul, polarization_parents,
                      quotient, render_monomial, restrict_exponents,
                      squarefree_part, support, total_degree)
+from stanley import decompose, parse_ideal, sdepth_lower_bound
+from stanley.bound import BoundTerm, build_split, classify_monomial
+from stanley.sdepth import Interval
 
 import oracles
 from conftest import ideal_pairs, ideals, monomials
@@ -223,3 +227,92 @@ def test_squarefree_polarize_is_identity_like():
     P, added = I.polarize()
     assert added == 0
     assert P.gens == I.gens
+
+
+# -- record types -----------------------------------------------------------
+
+# reprs of the record types as the library has always printed them
+WORKED_BOUND_REPR = (
+    "BoundReport(value=1, best_pivot=0, per_pivot=("
+    "PivotBound(pivot=0, r=2, base=1, value=1, terms=("
+    "BoundTerm(subset=(1,), multiplier=(0, 0, 0), ideal_part=1, "
+    "quotient_part=0, degenerate=False), "
+    "BoundTerm(subset=(1,), multiplier=(1, 0, 0), ideal_part=1, "
+    "quotient_part=0, degenerate=False)), "
+    "skipped=(((0,), (0, 0, 0), 'slice ideal is zero'), "
+    "((0,), (1, 0, 0), 'slice ideal is zero'))), "
+    "PivotBound(pivot=1, r=2, base=1, value=1, terms=("
+    "BoundTerm(subset=(0,), multiplier=(0, 0, 0), ideal_part=1, "
+    "quotient_part=0, degenerate=False), "
+    "BoundTerm(subset=(0,), multiplier=(1, 0, 0), ideal_part=1, "
+    "quotient_part=0, degenerate=False)), "
+    "skipped=(((1,), (0, 0, 0), 'slice ideal is zero'), "
+    "((1,), (1, 0, 0), 'slice ideal is zero')))))")
+
+RECORDS = [
+    # (builds a fresh value, its repr, the fields ==, hash and repr read)
+    (lambda: RingCtx(2), "RingCtx(n=2, var_names=('x1', 'x2'))",
+     ("n", "var_names")),
+    (lambda: parse_ideal("x1^2, x2*x3"), "MonomialIdeal(x2*x3, x1^2)",
+     ("ring", "gens")),
+    (lambda: decompose(parse_ideal("x1^2, x2*x3")).components[0],
+     "IrreducibleComponent(powers=((0, 2), (1, 1)))", ("powers",)),
+    (lambda: Interval((0, 1), (1, 1), 2),
+     "Interval(lower=(0, 1), upper=(1, 1), dim=2)", ("lower", "upper", "dim")),
+    (lambda: BoundTerm((0,), (1, 0, 0), 1, 2),
+     "BoundTerm(subset=(0,), multiplier=(1, 0, 0), ideal_part=1, "
+     "quotient_part=2, degenerate=False)",
+     ("subset", "multiplier", "ideal_part", "quotient_part", "degenerate")),
+    (lambda: sdepth_lower_bound(parse_ideal("x1^2, x2*x3")), WORKED_BOUND_REPR,
+     ("value", "best_pivot", "per_pivot")),
+]
+
+
+@pytest.mark.parametrize("make, text, fields", RECORDS)
+def test_record_semantics(make, text, fields):
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert repr(a) == text
+    assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in fields))
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, None)
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_uncompared_fields():
+    D = decompose(parse_ideal("x1^2, x2*x3"))
+    Q = D.components[0]
+    assert Q.support == frozenset({0, 1})
+    assert "support" not in repr(Q) and hash(Q) == hash((Q.powers,))
+    used, fresh = build_split(D, 0), build_split(D, 0)
+    for m in monomials_up_to_degree(3, 3):
+        classify_monomial(used, m)
+    assert used.parts and not fresh.parts
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) and "parts" not in repr(used)
+    fields = ("decomposition", "pivot", "pivot_vars", "free_vars", "held",
+              "top", "pivot_ind")
+    assert hash(used) == hash(tuple(getattr(used, f) for f in fields))
+
+
+def test_patched_post_init_counts_every_ideal(monkeypatch):
+    built = []
+    original = MonomialIdeal.__post_init__
+
+    def counted(self):
+        built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(MonomialIdeal, "__post_init__", counted)
+    I = MonomialIdeal(R3, [(1, 1, 0), (2, 0, 0), (2, 1, 0)])
+    J = MonomialIdeal.unit(R3)
+    Z = MonomialIdeal.zero(R3)
+    K = I.intersect(Z.sum(J))
+    assert built == [I, J, Z, J, K]
+    # the patched hook still puts the generators in canonical form
+    assert I.gens == ((1, 1, 0), (2, 0, 0)) and K == I
